@@ -8,7 +8,6 @@ product, and the multiplicity reciprocity report.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 from .errors import ModelConsistencyError, PreconditionError
@@ -54,40 +53,24 @@ def decompose(m: QGModel, beta: str, gamma: str) -> Decomposition:
     return _canonical(m, row)
 
 
-_POWER_CACHE: "weakref.WeakKeyDictionary[QGModel, dict[tuple[str, int], Decomposition]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def tensor_power_decompose(m: QGModel, alpha: str, n: int) -> Decomposition:
     """Decomposition of the n-th tensor power, associating to the left.
 
     Dynamic programming over the fusion table: the power at n + 1 is the
     fusion convolution of the power at n with alpha.  Intermediate results
-    are cached per model.
+    are kept in the model's store.
     """
     if n < 1:
         raise PreconditionError("tensor power exponent n must be >= 1")
     m.irrep(alpha)
-    cache = _POWER_CACHE.setdefault(m, {})
-    base = cache.get((alpha, 1))
-    if base is None:
-        base = _canonical(m, {alpha: 1})
-        cache[(alpha, 1)] = base
-    best = 1
-    for k in range(n, 1, -1):
-        if (alpha, k) in cache:
-            best = k
-            break
-    current = cache[(alpha, best)]
-    for k in range(best + 1, n + 1):
+    powers = m._memo(("tensor-power", alpha), lambda: [_canonical(m, {alpha: 1})])
+    while len(powers) < n:  # powers[k - 1] is the k-th power
         counts: dict[str, int] = {}
-        for label, mult in current.components:
+        for label, mult in powers[-1].components:
             for comp, sub in m.fusion.components(label, alpha).items():
                 counts[comp] = counts.get(comp, 0) + mult * sub
-        current = _canonical(m, counts)
-        cache[(alpha, k)] = current
-    return current
+        powers.append(_canonical(m, counts))
+    return powers[n - 1]
 
 
 def p_n(m: QGModel, alpha: str, n: int) -> int:

@@ -166,8 +166,37 @@ def cg_set(
 
     The returned list is ordered by the target's declaration order and copy
     index, covers the fusion row exactly, and (unless ``check`` is disabled)
-    has passed stacked unitarity and eigenvalue intertwining.
+    has passed stacked unitarity and eigenvalue intertwining.  Each pair is
+    built and its residuals computed at most once per model; every call holds
+    the stored residuals to its own bound.
     """
+    tensors = m._memo(("cg", beta, gamma), lambda: _build_cg_set(m, beta, gamma))
+    if check:
+        bound = max(tol.abs, 1e-9)
+        unitarity = m._memo(
+            ("cg-unitarity", beta, gamma),
+            lambda: verify_cg_unitarity(tensors)["max_residual"],
+        )
+        if unitarity > bound:
+            raise ModelConsistencyError(
+                f"CG data for ({beta!r}, {gamma!r}) fails unitarity: "
+                f"max residual {unitarity:.3e}"
+            )
+        residuals = m._memo(
+            ("cg-intertwining", beta, gamma),
+            lambda: [cg_intertwining_residual(m, t) for t in tensors],
+        )
+        for t, resid in zip(tensors, residuals):
+            if resid > bound:
+                raise ModelConsistencyError(
+                    f"CG tensor ({beta!r}, {gamma!r}) -> {t.alpha!r} breaks eigenvalue "
+                    f"intertwining: residual {resid:.3e}"
+                )
+    return list(tensors)
+
+
+def _build_cg_set(m: QGModel, beta: str, gamma: str) -> tuple[CGTensor, ...]:
+    """The provider's tensors for (beta, gamma), sorted and checked against the fusion row."""
     m.irrep(beta)
     m.irrep(gamma)
     row = m.fusion.components(beta, gamma)
@@ -205,23 +234,7 @@ def cg_set(
                 f"CG copy indices for ({beta!r}, {gamma!r}) -> {t.alpha!r} are {got}, "
                 f"expected {expected}"
             )
-
-    if check:
-        report = verify_cg_unitarity(tensors, tol)
-        bound = max(tol.abs, 1e-9)
-        if report["max_residual"] > bound:
-            raise ModelConsistencyError(
-                f"CG data for ({beta!r}, {gamma!r}) fails unitarity: "
-                f"max residual {report['max_residual']:.3e}"
-            )
-        for t in tensors:
-            resid = cg_intertwining_residual(m, t)
-            if resid > bound:
-                raise ModelConsistencyError(
-                    f"CG tensor ({beta!r}, {gamma!r}) -> {t.alpha!r} breaks eigenvalue "
-                    f"intertwining: residual {resid:.3e}"
-                )
-    return tensors
+    return tuple(tensors)
 
 
 def verify_cg_unitarity(tensors: Sequence[CGTensor], tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
@@ -691,19 +704,15 @@ def _suq2_pair_tensors(n1: int, n2: int, q: float) -> list[tuple[str, int, np.nd
 
 
 class SuQ2CGProvider:
-    """On-demand, memoized CG construction for q-deformed SU(2) models."""
+    """On-demand CG construction for q-deformed SU(2) models."""
 
     def __init__(self, q: float):
         self.q = float(q)
-        self._cache: dict[tuple[int, int], list[tuple[str, int, np.ndarray]]] = {}
 
     def __call__(
         self, model: QGModel, beta: str, gamma: str
     ) -> list[tuple[str, int, np.ndarray]]:
-        key = (int(beta), int(gamma))
-        if key not in self._cache:
-            self._cache[key] = _suq2_pair_tensors(key[0], key[1], self.q)
-        return self._cache[key]
+        return _suq2_pair_tensors(int(beta), int(gamma), self.q)
 
 
 class AbelianDualCGProvider:
@@ -752,14 +761,10 @@ class GroupAverageCGProvider:
         sizes = {len(mats) for mats in self._matrices.values()}
         if len(sizes) != 1:
             raise ModelConsistencyError("all irreps must list the same group elements")
-        self._cache: dict[tuple[str, str], list[tuple[str, int, np.ndarray]]] = {}
 
     def __call__(
         self, model: QGModel, beta: str, gamma: str
     ) -> list[tuple[str, int, np.ndarray]]:
-        key = (beta, gamma)
-        if key in self._cache:
-            return self._cache[key]
         row = model.fusion.components(beta, gamma)
         reps_b = self._matrices[beta]
         reps_c = self._matrices[gamma]
@@ -804,7 +809,6 @@ class GroupAverageCGProvider:
             first = np.flatnonzero(np.abs(flat) > 1e-10)[0]
             isometry = isometry * (np.conj(flat[first]) / abs(flat[first]))
             out.append((alpha, 1, isometry.reshape(n_b, n_c, n_a)))
-        self._cache[key] = out
         return out
 
 

@@ -113,7 +113,6 @@ def _cyclic_dual(n: int) -> QGModel:
             fusion=FusionTable(rows),
             parameters={"group": f"cyclic{n}", "order": n},
             cg=AbelianDualCGProvider(),
-            truncation_note=None,
         )
     )
 
@@ -158,7 +157,6 @@ def _s3_dual() -> QGModel:
             fusion=FusionTable(rows),
             parameters={"group": "s3", "order": 6},
             cg=GroupAverageCGProvider(matrices),
-            truncation_note=None,
         )
     )
 

@@ -194,7 +194,7 @@ class QGModel:
     trivial: str
     irreps: tuple[Irrep, ...]
     fusion: FusionTable
-    parameters: Mapping[str, float] = field(default_factory=dict)
+    parameters: Mapping[str, Any] = field(default_factory=dict)
     cg: CGProvider | None = None
     truncation_note: str = ""
 
@@ -208,6 +208,14 @@ class QGModel:
             raise ModelSchemaError(f"trivial label {self.trivial!r} is not an irrep of the model")
         object.__setattr__(self, "parameters", dict(self.parameters))
         object.__setattr__(self, "_by_label", by_label)
+        object.__setattr__(self, "_store", {})
+
+    def _memo(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """Data derived from the model (CG sets, tensor powers), built once on first use."""
+        store = self._store
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -434,14 +442,14 @@ def _check_frobenius(m: QGModel, report: ValidationReport) -> None:
 # JSON ingestion and export
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(doc: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
     if key not in doc:
         raise ModelSchemaError(f"{where}: missing required field {key!r}")
     value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ModelSchemaError(f"{where}: field {key!r} must be a number")
-        return float(value)
     if not isinstance(value, kind):
         raise ModelSchemaError(f"{where}: field {key!r} must be of type {kind.__name__}")
     return value
@@ -487,11 +495,17 @@ def load_model_with_report(
     parameters_raw = doc.get("parameters", {})
     if not isinstance(parameters_raw, Mapping):
         raise ModelSchemaError("model: field 'parameters' must be an object")
-    parameters = {}
+    parameters: dict[str, Any] = {}
     for key, value in parameters_raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ModelSchemaError(f"model: parameter {key!r} must be a number")
-        parameters[str(key)] = float(value)
+        if _is_number(value):
+            value = float(value)
+        elif isinstance(value, list) and all(_is_number(v) for v in value):
+            value = [float(v) for v in value]
+        elif not isinstance(value, str):
+            raise ModelSchemaError(
+                f"model: parameter {key!r} must be a number, a string or a list of numbers"
+            )
+        parameters[str(key)] = value
 
     scale_factors: dict[str, float] = {}
     irreps: list[Irrep] = []
@@ -506,9 +520,7 @@ def load_model_with_report(
             raise ModelSchemaError(f"{where}: field 'dim' must be an integer")
         conjugate = _require(entry, "conjugate", str, where)
         rho_raw = _require(entry, "rho", list, where)
-        if not rho_raw or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in rho_raw
-        ):
+        if not rho_raw or not all(_is_number(v) for v in rho_raw):
             raise ModelSchemaError(f"{where}: field 'rho' must be a non-empty list of numbers")
         if label in seen:
             raise ModelSchemaError(f"duplicate irrep label {label!r}")

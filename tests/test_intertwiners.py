@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cqg import intertwiners
 from cqg.errors import CGUnavailableError, ModelConsistencyError, ModelSchemaError, TruncationError
 from cqg.intertwiners import (
     C00Element,
@@ -20,8 +23,10 @@ from cqg.intertwiners import (
     verify_coassociativity,
     verify_modular,
 )
+from cqg.fusion import tensor_power_decompose
 from cqg.models import resolve_builtin
-from cqg.rep_data import load_model, model_to_document
+from cqg.rep_data import Tolerance, load_model, model_to_document
+from cqg.spectral import spectral_grid, verify_theorem_5_3
 
 from . import oracles
 from .conftest import TIGHT
@@ -254,3 +259,97 @@ class TestSupplementRoundTrip:
         reloaded = load_model(doc)
         with pytest.raises(ModelSchemaError):
             cg_set(reloaded, "1", "1")
+
+
+class TestVerifiedStore:
+    """cg_set builds and verifies each pair once per model and holds every call to its own bound."""
+
+    @staticmethod
+    def _perturbed(delta):
+        """A reloaded su_q_2 fragment whose first CG entry has one coefficient moved by delta."""
+        m = resolve_builtin("su_q_2", q=0.5, max_level=3)
+        doc = model_to_document(m)
+        doc["cg"] = cg_supplement_document(m, m.fusion.pairs())
+        doc["cg"][0]["coeffs"][0][3] += delta
+        return load_model(doc), (doc["cg"][0]["beta"], doc["cg"][0]["gamma"])
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = Counter()
+        for name in ("verify_cg_unitarity", "cg_intertwining_residual"):
+            original = getattr(intertwiners, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(intertwiners, name, counted)
+        return calls
+
+    def test_each_pair_verified_once(self, monkeypatch):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=4)
+        calls = self._count(monkeypatch)
+        pairs = m.fusion.pairs()
+        for _ in range(3):
+            sizes = [len(cg_set(m, *pair)) for pair in pairs]
+        assert calls["verify_cg_unitarity"] == len(pairs)
+        assert calls["cg_intertwining_residual"] == sum(sizes)
+
+    def test_tighter_tolerance_still_raises(self):
+        m, pair = self._perturbed(1e-7)
+        loose = Tolerance(abs=1e-6)
+        assert cg_set(m, *pair, loose)
+        with pytest.raises(ModelConsistencyError, match="fails unitarity"):
+            cg_set(m, *pair)
+        assert cg_set(m, *pair, loose)
+
+    def test_failing_pair_raises_same_message_every_call(self, monkeypatch):
+        m, pair = self._perturbed(0.1)
+        calls = self._count(monkeypatch)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ModelConsistencyError, match="fails unitarity") as excinfo:
+                cg_set(m, *pair)
+            messages.append(str(excinfo.value))
+        assert len(set(messages)) == 1
+        assert calls["verify_cg_unitarity"] == 1
+
+    def test_unchecked_build_is_verified_later(self):
+        m, pair = self._perturbed(0.1)
+        assert cg_set(m, *pair, check=False)
+        with pytest.raises(ModelConsistencyError, match="fails unitarity"):
+            cg_set(m, *pair)
+
+    def test_returned_list_is_a_copy(self):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=4)
+        first = cg_set(m, "1", "2")
+        expected = [(t.alpha, t.copy_index) for t in first]
+        first.append(first[0])
+        first.reverse()
+        assert [(t.alpha, t.copy_index) for t in cg_set(m, "1", "2")] == expected
+
+    def test_replaced_model_starts_empty(self):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=4)
+        cg_set(m, "1", "1")
+        with pytest.raises(CGUnavailableError):
+            cg_set(dataclasses.replace(m, cg=None), "1", "1")
+
+    def test_warm_theorem_sweep_matches_cold(self):
+        def sweep(m):
+            return [
+                verify_theorem_5_3(m, alpha, beta, s, t)
+                for alpha in m.labels
+                for beta in m.labels
+                for s, t in spectral_grid(m, alpha, beta)
+            ]
+
+        warm = resolve_builtin("su_q_2", q=0.5, max_level=4)
+        first = sweep(warm)
+        assert sweep(warm) == first
+        assert sweep(resolve_builtin("su_q_2", q=0.5, max_level=4)) == first
+
+    def test_stored_tensor_power_matches_cold(self):
+        warm = resolve_builtin("su_q_2", q=0.5, max_level=8)
+        for n in (3, 6, 2, 7, 6):
+            cold = resolve_builtin("su_q_2", q=0.5, max_level=8)
+            assert tensor_power_decompose(warm, "1", n) == tensor_power_decompose(cold, "1", n)

@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqg.errors import ModelConsistencyError, ModelSchemaError, TruncationError
+from cqg.intertwiners import cg_set, cg_supplement_document
+from cqg.models import resolve_builtin
 from cqg.rep_data import (
     DEFAULT_TOLERANCE,
     FusionTable,
@@ -137,6 +140,52 @@ def test_loader_round_trip(suq2_half):
     assert sorted(loaded.fusion.pairs()) == sorted(suq2_half.fusion.pairs())
     # the round-tripped model has no CG provider unless a supplement is embedded
     assert loaded.cg is None
+
+
+def _assert_round_trip(m):
+    """Export m with its CG data, reload it through JSON, and compare everything the document holds."""
+    doc = model_to_document(m)
+    doc["cg"] = cg_supplement_document(m, m.fusion.pairs())
+    loaded = load_model(json.loads(json.dumps(doc)))
+    assert loaded.name == m.name
+    assert loaded.labels == m.labels
+    assert loaded.parameters == m.parameters
+    assert loaded.truncation_note == m.truncation_note
+    for label in m.labels:
+        assert loaded.dim(label) == m.dim(label)
+        assert loaded.conjugate(label) == m.conjugate(label)
+        assert tuple(loaded.rho(label)) == pytest.approx(tuple(m.rho(label)), rel=1e-12)
+    assert loaded.fusion.pairs() == m.fusion.pairs()
+    for pair in m.fusion.pairs():
+        assert loaded.fusion.components(*pair) == m.fusion.components(*pair)
+        for got, want in zip(cg_set(loaded, *pair), cg_set(m, *pair), strict=True):
+            assert (got.alpha, got.copy_index) == (want.alpha, want.copy_index)
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("s3", {}), ("cyclic5", {}), ("free_orthogonal", {"f_diag": [1.0, 1.0, 2.0]})],
+)
+def test_builtin_export_reloads(name, kwargs):
+    _assert_round_trip(resolve_builtin(name, **kwargs))
+
+
+@given(
+    q=st.floats(min_value=0.25, max_value=4.0, allow_nan=False),
+    max_level=st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=15)
+def test_suq2_export_reloads(q, max_level):
+    _assert_round_trip(resolve_builtin("su_q_2", q=q, max_level=max_level))
+
+
+@pytest.mark.parametrize("value", [True, None, {"a": 1.0}, ["x"], [1.0, False]])
+def test_loader_rejects_unsupported_parameters(suq2_half, value):
+    doc = _toy_document(suq2_half)
+    doc["parameters"]["bad"] = value
+    with pytest.raises(ModelSchemaError, match="parameter 'bad'"):
+        load_model(doc)
 
 
 def test_loader_accepts_json_text_and_path(tmp_path, suq2_half):
