@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModelConsistencyError, PreconditionError
-from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance
+from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance, _frobenius_mismatches
 
 
 @dataclass(frozen=True)
@@ -106,45 +106,18 @@ def gamma_top_components(
 def frobenius_check(m: QGModel) -> list[dict]:
     """Multiplicity reciprocity violations over all fully ingested triples.
 
-    For each ingested pair (beta, gamma) and every label alpha, the
-    multiplicity of alpha in beta x gamma is compared against the two
-    reciprocal readings whenever their pairs are ingested too.
+    One entry per mismatch found by ``rep_data._frobenius_mismatches``,
+    in its order.
     """
-    violations: list[dict] = []
-    for beta, gamma in m.fusion.pairs():
-        row = m.fusion.components(beta, gamma)
-        gamma_bar = m.conjugate(gamma)
-        beta_bar = m.conjugate(beta)
-        for alpha in m.labels:
-            m1 = row.get(alpha, 0)
-            if (alpha, gamma_bar) in m.fusion:
-                m2 = m.fusion.multiplicity(beta, alpha, gamma_bar)
-                if m1 != m2:
-                    violations.append(
-                        {
-                            "invariant": "frobenius",
-                            "alpha": alpha,
-                            "beta": beta,
-                            "gamma": gamma,
-                            "m_direct": m1,
-                            "m_reciprocal": m2,
-                            "message": f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
-                            f"m({beta!r}, {alpha!r} x {gamma_bar!r}) = {m2}",
-                        }
-                    )
-            if (beta_bar, alpha) in m.fusion:
-                m3 = m.fusion.multiplicity(gamma, beta_bar, alpha)
-                if m1 != m3:
-                    violations.append(
-                        {
-                            "invariant": "frobenius",
-                            "alpha": alpha,
-                            "beta": beta,
-                            "gamma": gamma,
-                            "m_direct": m1,
-                            "m_reciprocal": m3,
-                            "message": f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
-                            f"m({gamma!r}, {beta_bar!r} x {alpha!r}) = {m3}",
-                        }
-                    )
-    return violations
+    return [
+        {
+            "invariant": "frobenius",
+            "alpha": alpha,
+            "beta": beta,
+            "gamma": gamma,
+            "m_direct": m1,
+            "m_reciprocal": m2,
+            "message": message,
+        }
+        for alpha, beta, gamma, m1, m2, message in _frobenius_mismatches(m)
+    ]

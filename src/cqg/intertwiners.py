@@ -305,6 +305,16 @@ def _cg_for_target(m: QGModel, beta: str, gamma: str, alpha: str) -> list[CGTens
     return [t for t in tensors if t.alpha == alpha]
 
 
+def _tensors_into(m: QGModel, beta: str, gamma: str, alpha: str) -> list[CGTensor]:
+    """Tensors of (beta, gamma) into alpha ([] if none); raises if the pair or its CG is absent."""
+    if m.fusion.components(beta, gamma).get(alpha, 0) == 0:
+        return []
+    tensors = _cg_for_target(m, beta, gamma, alpha)
+    if tensors is None:
+        raise CGUnavailableError(f"no Clebsch-Gordan data for pair ({beta!r}, {gamma!r})")
+    return tensors
+
+
 def _canonical_pairs(m: QGModel, support: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
     order = {label: k for k, label in enumerate(m.labels)}
     pairs = {(str(b), str(g)) for b, g in support}
@@ -329,19 +339,13 @@ def delta_hat(
         raise PreconditionError(f"matrix unit indices ({a}, {a_prime}) out of range for {alpha!r}")
     out: dict[tuple[str, str], np.ndarray] = {}
     for beta, gamma in _canonical_pairs(m, support):
-        row = m.fusion.components(beta, gamma)  # raises TruncationError when absent
+        tensors = _tensors_into(m, beta, gamma, alpha)
         dim_block = m.dim(gamma) * m.dim(beta)
         block = np.zeros((dim_block, dim_block), dtype=complex)
-        if row.get(alpha, 0) > 0:
-            tensors = _cg_for_target(m, beta, gamma, alpha)
-            if tensors is None:
-                raise CGUnavailableError(
-                    f"no Clebsch-Gordan data for pair ({beta!r}, {gamma!r})"
-                )
-            for t in tensors:
-                u = t.coeffs[:, :, a].T.reshape(-1)  # index c * n_beta + b
-                v = t.coeffs[:, :, a_prime].T.reshape(-1)
-                block += np.outer(u, v.conj())
+        for t in tensors:
+            u = t.coeffs[:, :, a].T.reshape(-1)  # index c * n_beta + b
+            v = t.coeffs[:, :, a_prime].T.reshape(-1)
+            block += np.outer(u, v.conj())
         out[(beta, gamma)] = block
     return out
 
@@ -361,6 +365,28 @@ def haar_weight(m: QGModel, x: C00Element) -> complex:
     return total
 
 
+def _certify_complete(
+    m: QGModel, alpha: str, fixed: str, fixed_left: bool, pairs
+) -> tuple[bool, list[str]]:
+    """Is every x with alpha in (fixed x x), or in (x x fixed), paired with fixed in ``pairs``?
+
+    By Frobenius reciprocity those x are the components of conj(fixed) x alpha
+    (fixed on the left) or of alpha x conj(fixed) (fixed on the right); when
+    that probe pair is not ingested the sum cannot be certified.  ``pairs`` is
+    any container of (left, right) pairs: a fusion table or a support.
+    Returns the certificate and the labels whose pair with fixed is missing.
+    """
+    probe = (m.conjugate(fixed), alpha) if fixed_left else (alpha, m.conjugate(fixed))
+    if probe not in m.fusion:
+        return False, []
+    missing = [
+        x
+        for x in m.fusion.components(*probe)
+        if ((fixed, x) if fixed_left else (x, fixed)) not in pairs
+    ]
+    return not missing, missing
+
+
 def verify_modular(
     m: QGModel,
     alpha: str,
@@ -377,126 +403,63 @@ def verify_modular(
     flag instead of being asserted.
     """
     pairs = _canonical_pairs(m, support)
+    order = {label: k for k, label in enumerate(m.labels)}
     n_a = m.dim(alpha)
     lam_alpha = np.asarray(tuple(m.rho(alpha)))
     d_alpha = float(m.rho(alpha).trace())
 
-    pair_tensors: dict[tuple[str, str], list[CGTensor]] = {}
-    for beta, gamma in pairs:
-        row = m.fusion.components(beta, gamma)
-        if row.get(alpha, 0) > 0:
-            tensors = _cg_for_target(m, beta, gamma, alpha)
-            if tensors is None:
-                raise CGUnavailableError(f"no Clebsch-Gordan data for pair ({beta!r}, {gamma!r})")
-            pair_tensors[(beta, gamma)] = tensors
-        else:
-            pair_tensors[(beta, gamma)] = []
+    pair_tensors = {pair: _tensors_into(m, *pair, alpha) for pair in pairs}
 
-    first_leg_labels = sorted(
-        {gamma for _, gamma in pairs}, key={l: k for k, l in enumerate(m.labels)}.get
-    )
-    second_leg_labels = sorted(
-        {beta for beta, _ in pairs}, key={l: k for k, l in enumerate(m.labels)}.get
-    )
+    def leg_blocks(fixed_left: bool, power: float) -> list[dict]:
+        """Blocks of one leg, labelled by the pair's fixed slot.
 
-    def first_leg_complete(gamma: str) -> tuple[bool, list[str]]:
-        # the true sum runs over every beta with alpha contained in beta x gamma,
-        # i.e. the components of alpha x conj(gamma)
-        pair = (alpha, m.conjugate(gamma))
-        if pair not in m.fusion:
-            return False, []
-        required = [
-            label for label in m.fusion.components(*pair) if label in m
-        ]
-        missing = [b for b in required if (b, gamma) not in pairs]
-        return (not missing), missing
+        The first leg (id x h) fixes gamma and expects rho**-2 on the block
+        diagonal; the second leg (h x id) is the same sum on transposed
+        coefficient views, fixing beta and expecting rho**0 = 1.
+        """
+        k = 0 if fixed_left else 1
+        blocks = []
+        for label in sorted({pair[k] for pair in pairs}, key=order.get):
+            n = m.dim(label)
+            expected_diag = np.asarray(tuple(m.rho(label))) ** power
+            diff = 0.0
+            scale = max(1.0, d_alpha * float(lam_alpha.max()) * float(expected_diag.max()))
+            for a in range(n_a):
+                for a2 in range(n_a):
+                    acc = np.zeros((n, n), dtype=complex)
+                    for pair, tensors in pair_tensors.items():
+                        if pair[k] != label:
+                            continue
+                        lam_other = np.asarray(tuple(m.rho(pair[1 - k])))
+                        d_other = float(m.rho(pair[1 - k]).trace())
+                        for t in tensors:
+                            ma, mb = t.coeffs[:, :, a], t.coeffs[:, :, a2]
+                            if fixed_left:
+                                ma, mb = ma.T, mb.T
+                            acc += d_other * (ma.T @ (lam_other[:, None] * mb.conj()))
+                    expected = (
+                        d_alpha * lam_alpha[a] * np.diag(expected_diag)
+                        if a == a2
+                        else np.zeros((n, n))
+                    )
+                    diff = max(diff, float(np.max(np.abs(acc - expected))))
+            complete, missing = _certify_complete(m, alpha, label, fixed_left, pairs)
+            blocks.append(
+                {"label": label, "residual": diff / scale, "complete": complete, "missing": missing}
+            )
+        return blocks
 
-    def second_leg_complete(beta: str) -> tuple[bool, list[str]]:
-        # the true sum runs over every gamma with alpha contained in beta x gamma,
-        # i.e. the components of conj(beta) x alpha
-        pair = (m.conjugate(beta), alpha)
-        if pair not in m.fusion:
-            return False, []
-        required = [label for label in m.fusion.components(*pair) if label in m]
-        missing = [g for g in required if (beta, g) not in pairs]
-        return (not missing), missing
-
-    first_blocks: list[dict] = []
-    second_blocks: list[dict] = []
-    max_complete = 0.0
-    truncated = False
-
-    for gamma in first_leg_labels:
-        n_g = m.dim(gamma)
-        lam_gamma = np.asarray(tuple(m.rho(gamma)))
-        expected_diag = lam_gamma**-2.0
-        diff = 0.0
-        scale = max(1.0, d_alpha * float(lam_alpha.max()) * float(expected_diag.max()))
-        for a in range(n_a):
-            for a2 in range(n_a):
-                acc = np.zeros((n_g, n_g), dtype=complex)
-                for (beta, g2), tensors in pair_tensors.items():
-                    if g2 != gamma:
-                        continue
-                    lam_beta = np.asarray(tuple(m.rho(beta)))
-                    d_beta = float(m.rho(beta).trace())
-                    for t in tensors:
-                        ma = t.coeffs[:, :, a]
-                        mb = t.coeffs[:, :, a2]
-                        acc += d_beta * (ma.T @ (lam_beta[:, None] * mb.conj()))
-                expected = (
-                    d_alpha * lam_alpha[a] * np.diag(expected_diag)
-                    if a == a2
-                    else np.zeros((n_g, n_g))
-                )
-                diff = max(diff, float(np.max(np.abs(acc - expected))))
-        complete, missing = first_leg_complete(gamma)
-        resid = diff / scale
-        first_blocks.append(
-            {"label": gamma, "residual": resid, "complete": complete, "missing": missing}
-        )
-        if complete:
-            max_complete = max(max_complete, resid)
-        else:
-            truncated = True
-
-    for beta in second_leg_labels:
-        n_b = m.dim(beta)
-        diff = 0.0
-        scale = max(1.0, d_alpha * float(lam_alpha.max()))
-        for a in range(n_a):
-            for a2 in range(n_a):
-                acc = np.zeros((n_b, n_b), dtype=complex)
-                for (b2, gamma), tensors in pair_tensors.items():
-                    if b2 != beta:
-                        continue
-                    lam_gamma = np.asarray(tuple(m.rho(gamma)))
-                    d_gamma = float(m.rho(gamma).trace())
-                    for t in tensors:
-                        ma = t.coeffs[:, :, a]
-                        mb = t.coeffs[:, :, a2]
-                        acc += d_gamma * (ma @ (lam_gamma[:, None] * mb.conj().T))
-                expected = (
-                    d_alpha * lam_alpha[a] * np.eye(n_b) if a == a2 else np.zeros((n_b, n_b))
-                )
-                diff = max(diff, float(np.max(np.abs(acc - expected))))
-        complete, missing = second_leg_complete(beta)
-        resid = diff / scale
-        second_blocks.append(
-            {"label": beta, "residual": resid, "complete": complete, "missing": missing}
-        )
-        if complete:
-            max_complete = max(max_complete, resid)
-        else:
-            truncated = True
-
+    first_blocks = leg_blocks(False, -2.0)
+    second_blocks = leg_blocks(True, 0.0)
+    blocks = first_blocks + second_blocks
+    max_complete = max([0.0] + [b["residual"] for b in blocks if b["complete"]])
     return {
         "alpha": alpha,
         "support": [list(p) for p in pairs],
         "id_tensor_h": first_blocks,
         "h_tensor_id": second_blocks,
         "max_complete_residual": max_complete,
-        "truncated": truncated,
+        "truncated": not all(b["complete"] for b in blocks),
         "pass": max_complete <= max(tol.abs, tol.rel),
     }
 
@@ -523,74 +486,59 @@ def verify_coassociativity(
     for beta, gamma in pairs:
         if m.fusion.components(beta, gamma).get(alpha, 0) == 0:
             continue
-        for mu, nu in m.fusion.pairs():
-            if gamma in m.fusion.components(mu, nu):
-                triples.add((nu, mu, beta))
-        for sigma, tau in m.fusion.pairs():
-            if beta in m.fusion.components(sigma, tau):
-                triples.add((gamma, tau, sigma))
+        for left, right in m.fusion.pairs():
+            row = m.fusion.components(left, right)
+            if gamma in row:
+                triples.add((right, left, beta))
+            if beta in row:
+                triples.add((gamma, right, left))
 
-    def left_contributors(p: str, q: str, r: str):
-        """gamma values feeding the first-leg expansion of triple (p, q, r), or None."""
-        if (q, p) not in m.fusion:
+    def contributors(inner: tuple[str, str], outer_pair) -> list | None:
+        """(outer, inner) tensor lists over the components x of the inner pair, or None.
+
+        The first-leg expansion of triple (p, q, r) has inner pair (q, p) and
+        outer pair (r, x); the second-leg expansion has (r, q) and (x, p).
+        """
+        if inner not in m.fusion:
             return None
         out = []
-        for g in m.fusion.components(q, p):
-            if (r, g) not in m.fusion:
+        for x in m.fusion.components(*inner):
+            if outer_pair(x) not in m.fusion:
                 return None
-            outer = _cg_for_target(m, r, g, alpha)
-            inner_all = _cg_for_target(m, q, p, g)
+            outer = _cg_for_target(m, *outer_pair(x), alpha)
+            inner_all = _cg_for_target(m, *inner, x)
             if outer is None or inner_all is None:
                 return None
             if outer:
-                out.append((g, outer, inner_all))
+                out.append((outer, inner_all))
         return out
 
-    def right_contributors(p: str, q: str, r: str):
-        """beta values feeding the second-leg expansion of triple (p, q, r), or None."""
-        if (r, q) not in m.fusion:
-            return None
-        out = []
-        for b in m.fusion.components(r, q):
-            if (b, p) not in m.fusion:
-                return None
-            outer = _cg_for_target(m, b, p, alpha)
-            inner_all = _cg_for_target(m, r, q, b)
-            if outer is None or inner_all is None:
-                return None
-            if outer:
-                out.append((b, outer, inner_all))
-        return out
+    def expansion(contribs: list, spec: str, a: int, a2: int, size: int) -> np.ndarray:
+        acc = np.zeros((size, size), dtype=complex)
+        for outer, inner_all in contribs:
+            for t_out in outer:
+                for t_in in inner_all:
+                    ga = np.einsum(spec, t_in.coeffs, t_out.coeffs[:, :, a])
+                    gb = np.einsum(spec, t_in.coeffs, t_out.coeffs[:, :, a2])
+                    acc += np.outer(ga.reshape(-1), gb.conj().reshape(-1))
+        return acc
 
     results: list[dict] = []
     skipped: list[dict] = []
     max_residual = 0.0
     for p, q, r in sorted(triples, key=lambda t: (order[t[0]], order[t[1]], order[t[2]])):
-        left = left_contributors(p, q, r)
-        right = right_contributors(p, q, r)
+        left = contributors((q, p), lambda x: (r, x))
+        right = contributors((r, q), lambda x: (x, p))
         if left is None or right is None:
             skipped.append({"triple": [p, q, r], "reason": "contributing sum leaves the fragment"})
             continue
-        n_p, n_q, n_r = m.dim(p), m.dim(q), m.dim(r)
-        size = n_p * n_q * n_r
+        size = m.dim(p) * m.dim(q) * m.dim(r)
         diff = 0.0
         scale = 1.0
         for a in range(n_a):
             for a2 in range(n_a):
-                lhs = np.zeros((size, size), dtype=complex)
-                for _, outer, inner_all in left:
-                    for t_out in outer:
-                        for t_in in inner_all:
-                            ga = np.einsum("upc,rc->pur", t_in.coeffs, t_out.coeffs[:, :, a])
-                            gb = np.einsum("upc,rc->pur", t_in.coeffs, t_out.coeffs[:, :, a2])
-                            lhs += np.outer(ga.reshape(-1), gb.conj().reshape(-1))
-                rhs = np.zeros((size, size), dtype=complex)
-                for _, outer, inner_all in right:
-                    for t_out in outer:
-                        for t_in in inner_all:
-                            ha = np.einsum("rub,bp->pur", t_in.coeffs, t_out.coeffs[:, :, a])
-                            hb = np.einsum("rub,bp->pur", t_in.coeffs, t_out.coeffs[:, :, a2])
-                            rhs += np.outer(ha.reshape(-1), hb.conj().reshape(-1))
+                lhs = expansion(left, "upc,rc->pur", a, a2, size)
+                rhs = expansion(right, "rub,bp->pur", a, a2, size)
                 diff = max(diff, float(np.max(np.abs(lhs - rhs))))
                 scale = max(scale, float(np.max(np.abs(rhs))))
         resid = diff / scale

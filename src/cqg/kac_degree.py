@@ -160,37 +160,10 @@ def bounded_degree_identity_check(
             raise PreconditionError(
                 f"exhaustive check needs {total} tuples, above the 10^6 bound"
             )
-        for label in m.labels:
-            n = dims[label]
-            units = [(i, j) for i in range(n) for j in range(n)]
-            tuples = list(itertools.product(range(len(units)), repeat=r))
-            basis = np.zeros((len(units), n, n))
-            for u, (i, j) in enumerate(units):
-                basis[u, i, j] = 1.0
-            chunk = 20000
-            for start in range(0, len(tuples), chunk):
-                batch = tuples[start : start + chunk]
-                mats = np.stack([basis[[tup[pos] for tup in batch]] for pos in range(r)])
-                values = _standard_polynomial_blocks(mats)
-                nonzero = np.flatnonzero(np.abs(values).reshape(len(batch), -1).max(axis=1))
-                if nonzero.size:
-                    tup = batch[int(nonzero[0])]
-                    witness = [[label, units[u][0], units[u][1]] for u in tup]
-                    return {
-                        "verdict": "violated",
-                        "r": r,
-                        "strategy": strategy,
-                        "tuples_checked": total,
-                        "witness": {"kind": "matrix_units", "tuple": witness},
-                    }
-        return {
-            "verdict": "holds_on_samples",
-            "r": r,
-            "strategy": strategy,
-            "tuples_checked": total,
-            "witness": None,
-        }
-    if strategy == "random":
+        counts = {"tuples_checked": total}
+        witness = _first_unit_witness(m, dims, r)
+    elif strategy == "random":
+        counts = {"trials": trials, "seed": int(seed)}
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         draws = {
             label: rng.integers(-3, 4, size=(trials, r, dims[label], dims[label]))
@@ -204,28 +177,44 @@ def bounded_degree_identity_check(
             if nonzero.size:
                 trial = int(nonzero[0])
                 first_bad = trial if first_bad is None else min(first_bad, trial)
+        witness = None
         if first_bad is not None:
-            witness = [
+            elements = [
                 {label: draws[label][first_bad, pos].tolist() for label in m.labels}
                 for pos in range(r)
             ]
-            return {
-                "verdict": "violated",
-                "r": r,
-                "strategy": strategy,
-                "trials": trials,
-                "seed": int(seed),
-                "witness": {"kind": "elements", "trial": first_bad, "tuple": witness},
-            }
-        return {
-            "verdict": "holds_on_samples",
-            "r": r,
-            "strategy": strategy,
-            "trials": trials,
-            "seed": int(seed),
-            "witness": None,
-        }
-    raise PreconditionError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'random'")
+            witness = {"kind": "elements", "trial": first_bad, "tuple": elements}
+    else:
+        raise PreconditionError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'random'")
+    return {
+        "verdict": "holds_on_samples" if witness is None else "violated",
+        "r": r,
+        "strategy": strategy,
+        **counts,
+        "witness": witness,
+    }
+
+
+def _first_unit_witness(m: QGModel, dims: dict[str, int], r: int) -> dict | None:
+    """The first single-block r-tuple of matrix units with a nonzero standard polynomial."""
+    for label in m.labels:
+        n = dims[label]
+        units = [(i, j) for i in range(n) for j in range(n)]
+        tuples = list(itertools.product(range(len(units)), repeat=r))
+        basis = np.zeros((len(units), n, n))
+        for u, (i, j) in enumerate(units):
+            basis[u, i, j] = 1.0
+        chunk = 20000
+        for start in range(0, len(tuples), chunk):
+            batch = tuples[start : start + chunk]
+            mats = np.stack([basis[[tup[pos] for tup in batch]] for pos in range(r)])
+            values = _standard_polynomial_blocks(mats)
+            nonzero = np.flatnonzero(np.abs(values).reshape(len(batch), -1).max(axis=1))
+            if nonzero.size:
+                tup = batch[int(nonzero[0])]
+                witness = [[label, units[u][0], units[u][1]] for u in tup]
+                return {"kind": "matrix_units", "tuple": witness}
+    return None
 
 
 def prop_6_2_check(

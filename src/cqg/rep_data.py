@@ -371,21 +371,16 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
                 f"fusion {left!r} x {right!r}: quantum dims sum to {d1_sum:.12g}, "
                 f"product is {d1_prod:.12g}",
             )
-        if left == m.trivial:
-            if row != {right: 1}:
+        for unit, other, product in (
+            (left, right, f"trivial x {right!r}"),
+            (right, left, f"{left!r} x trivial"),
+        ):
+            if unit == m.trivial and row != {other: 1}:
                 report.add(
                     "trivial-unit",
                     (left, right),
                     None,
-                    f"trivial x {right!r} must decompose as {right!r} alone; got {row}",
-                )
-        if right == m.trivial:
-            if row != {left: 1}:
-                report.add(
-                    "trivial-unit",
-                    (left, right),
-                    None,
-                    f"{left!r} x trivial must decompose as {left!r} alone; got {row}",
+                    f"{product} must decompose as {other!r} alone; got {row}",
                 )
         # multiplicity of the trivial component detects conjugate pairs:
         # it is 1 exactly when right = conjugate(left)
@@ -400,41 +395,37 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
                 f"expected {expected_triv}",
             )
 
-    _check_frobenius(m, report)
+    for alpha, beta, gamma, m1, m2, message in _frobenius_mismatches(m):
+        report.add("frobenius", (alpha, beta, gamma), float(abs(m1 - m2)), message)
     return report
 
 
-def _check_frobenius(m: QGModel, report: ValidationReport) -> None:
-    """Multiplicity reciprocity on every triple whose needed pairs are all ingested."""
-    for beta, gamma in m.fusion.pairs():
-        if beta not in m or gamma not in m:
-            continue
-        row = m.fusion.components(beta, gamma)
-        if any(label not in m for label in row):
+def _frobenius_mismatches(m: QGModel) -> Iterator[tuple[str, str, str, int, int, str]]:
+    """Multiplicity reciprocity on every triple whose needed pairs are all ingested.
+
+    For each ingested pair (beta, gamma) and every label alpha, the
+    multiplicity m1 of alpha in beta x gamma is compared with the two
+    reciprocal readings, m(beta, alpha x conj(gamma)) and
+    m(gamma, conj(beta) x alpha), whenever their pairs are ingested too.
+    Yields (alpha, beta, gamma, m1, reciprocal multiplicity, message) per
+    mismatch; pairs that reference labels outside the model are skipped.
+    """
+    rows = m.fusion._entries  # read in place: components() copies a row on every call
+    for (beta, gamma), row in rows.items():
+        if beta not in m or gamma not in m or any(label not in m for label in row):
             continue
         gamma_bar = m.conjugate(gamma)
         beta_bar = m.conjugate(beta)
         for alpha in m.labels:
             m1 = row.get(alpha, 0)
-            if (alpha, gamma_bar) in m.fusion:
-                m2 = m.fusion.multiplicity(beta, alpha, gamma_bar)
+            for label, left, right in ((beta, alpha, gamma_bar), (gamma, beta_bar, alpha)):
+                if (left, right) not in rows:
+                    continue
+                m2 = rows[left, right].get(label, 0)
                 if m1 != m2:
-                    report.add(
-                        "frobenius",
-                        (alpha, beta, gamma),
-                        float(abs(m1 - m2)),
+                    yield alpha, beta, gamma, m1, m2, (
                         f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
-                        f"m({beta!r}, {alpha!r} x {gamma_bar!r}) = {m2}",
-                    )
-            if (beta_bar, alpha) in m.fusion:
-                m3 = m.fusion.multiplicity(gamma, beta_bar, alpha)
-                if m1 != m3:
-                    report.add(
-                        "frobenius",
-                        (alpha, beta, gamma),
-                        float(abs(m1 - m3)),
-                        f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
-                        f"m({gamma!r}, {beta_bar!r} x {alpha!r}) = {m3}",
+                        f"m({label!r}, {left!r} x {right!r}) = {m2}"
                     )
 
 
@@ -536,13 +527,6 @@ def load_model_with_report(
         irreps.append(Irrep(label=label, dim=dim, rho=polished, conjugate=conjugate))
 
     labels = {irr.label for irr in irreps}
-    if trivial not in labels:
-        raise ModelSchemaError(f"trivial label {trivial!r} is not among the irreps")
-    for irr in irreps:
-        if irr.conjugate not in labels:
-            raise ModelConsistencyError(
-                f"irrep {irr.label!r}: conjugate {irr.conjugate!r} is not in the model"
-            )
 
     entries: dict[tuple[str, str], dict[str, int]] = {}
     for entry in fusion_raw:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CGUnavailableError, PreconditionError
-from .intertwiners import cg_set
+from .errors import PreconditionError
+from .intertwiners import _certify_complete, cg_set
 from .rep_data import DEFAULT_TOLERANCE, QGModel, RhoSpectrum, Tolerance
 
 
@@ -145,42 +145,14 @@ def verify_theorem_5_3(
     proj_alpha = np.diag(_projection_diag(s_alpha, s * t, tol))
     proj_beta = _projection_diag(s_beta, t, tol)
 
-    def certified_candidates(first_is_gamma: bool) -> tuple[list[str], bool, list[str]]:
-        """Contributing gamma labels, completeness certainty, and missing pairs.
-
-        eq1 (gamma in the first slot) needs every component of
-        alpha x conj(beta); eq2 needs every component of conj(beta) x alpha.
-        """
-        probe_pair = (alpha, m.conjugate(beta)) if first_is_gamma else (m.conjugate(beta), alpha)
-        if probe_pair in m.fusion:
-            required = list(m.fusion.components(*probe_pair))
-            missing = []
-            for gamma in required:
-                pair = (gamma, beta) if first_is_gamma else (beta, gamma)
-                if pair not in m.fusion:
-                    missing.append(gamma)
-            available = [g for g in required if g not in missing]
-            return available, not missing, missing
-        # fall back to scanning ingested pairs; completeness unknown
-        available = []
-        for left, right in m.fusion.pairs():
-            if first_is_gamma and right == beta:
-                gamma = left
-            elif not first_is_gamma and left == beta:
-                gamma = right
-            else:
-                continue
-            if m.fusion.components(left, right).get(alpha, 0) > 0:
-                available.append(gamma)
-        return sorted(set(available)), False, []
-
     def side(first_is_gamma: bool) -> tuple[np.ndarray, bool]:
-        candidates, complete, _ = certified_candidates(first_is_gamma)
+        # eq1 puts gamma in the first slot, eq2 in the second; the sum runs
+        # over every ingested pair of gamma with beta that contains alpha
+        complete, _ = _certify_complete(m, alpha, beta, not first_is_gamma, m.fusion)
         acc = np.zeros((n_alpha, n_alpha), dtype=complex)
-        for gamma in candidates:
+        for gamma in m.labels:
             pair = (gamma, beta) if first_is_gamma else (beta, gamma)
-            row = m.fusion.components(*pair)
-            if row.get(alpha, 0) == 0:
+            if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
                 continue
             s_gamma = m.rho(gamma)
             d_gamma = float(s_gamma.trace())

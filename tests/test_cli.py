@@ -158,6 +158,26 @@ class TestExitCodeOne:
         assert err.startswith("consistency violation:")
 
 
+    def test_cg_pair_failing_unitarity(self, capsys, tmp_path):
+        target = tmp_path / "model.json"
+        code, _, _ = run_cli(
+            capsys, "export", "--model", "su_q_2", "--max-level", "3",
+            "--include-cg", "--out", str(target),
+        )
+        assert code == 0
+        document = json.loads(target.read_text(encoding="utf-8"))
+        entry = next(e for e in document["cg"] if (e["beta"], e["gamma"]) == ("1", "1"))
+        entry["coeffs"][0][3] *= 2.0  # real part of one nonzero coefficient
+        target.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "cg", "--model", str(target), "--beta", "1", "--gamma", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("consistency violation:")
+        assert "fails unitarity" in err
+
+
 class TestExitCodeTwo:
     @pytest.mark.parametrize(
         "argv, needle",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from cqg.fusion import (
     p_n,
     tensor_power_decompose,
 )
+from cqg.rep_data import FusionTable, validate_model
 
 from . import oracles
 
@@ -104,6 +107,19 @@ def test_gamma_top_components_kac_case(s3_dual):
 def test_frobenius_clean_on_builtins(all_builtins):
     for m in all_builtins:
         assert frobenius_check(m) == []
+
+
+def test_frobenius_check_and_validation_report_the_same_mismatches(s3_dual):
+    # drop sgn from std x std: every reciprocal reading of that multiplicity disagrees
+    rows = {pair: s3_dual.fusion.components(*pair) for pair in s3_dual.fusion.pairs()}
+    rows[("std", "std")] = {"triv": 1, "std": 1}
+    broken = dataclasses.replace(s3_dual, fusion=FusionTable(rows))
+    violations = frobenius_check(broken)
+    issues = [i for i in validate_model(broken).issues if i.invariant == "frobenius"]
+    assert [(v["alpha"], v["beta"], v["gamma"]) for v in violations] == [i.labels for i in issues]
+    assert [v["message"] for v in violations] == [i.message for i in issues]
+    assert violations[0]["message"] == "m('std', 'sgn' x 'std') = 1 but m('sgn', 'std' x 'std') = 0"
+    assert {"sgn"} <= {v["alpha"] for v in violations}
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))

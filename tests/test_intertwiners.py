@@ -211,6 +211,52 @@ class TestCoassociativity:
             assert skip["reason"]
 
 
+class TestCompletenessCertificate:
+    """Truncation flags against the untruncated SU(2) rule (oracles.suq2_components)."""
+
+    LEVEL = 8  # suq2_half ingests the pair (l, r) iff l + r <= 8
+
+    def expected_block(self, a: int, x: int) -> tuple[bool, list[str]]:
+        # the sum next to x runs over the components of alpha x x; it is
+        # certified only when that pair and each component's pair with x are ingested
+        if a + x > self.LEVEL:
+            return False, []
+        missing = [c for c in oracles.suq2_components(a, x) if int(c) + x > self.LEVEL]
+        return not missing, missing
+
+    def test_theorem_5_3_truncated_exactly_beyond_the_fragment(self, suq2_half):
+        for a in range(self.LEVEL + 1):
+            for b in range(self.LEVEL + 1):
+                s, t = spectral_grid(suq2_half, str(a), str(b), probes=0)[0]
+                result = verify_theorem_5_3(suq2_half, str(a), str(b), s, t)
+                assert result["truncated"] == (a + 2 * b > self.LEVEL), (a, b)
+                assert result["truncated"] == (not self.expected_block(a, b)[0]), (a, b)
+
+    def test_modular_blocks_match_the_rule(self, suq2_half):
+        support = suq2_half.fusion.pairs()
+        for a in range(self.LEVEL + 1):
+            result = verify_modular(suq2_half, str(a), support)
+            for side in ("id_tensor_h", "h_tensor_id"):
+                blocks = result[side]
+                assert [b["label"] for b in blocks] == list(suq2_half.labels)
+                for block in blocks:
+                    got = (block["complete"], block["missing"])
+                    assert got == self.expected_block(a, int(block["label"])), (a, side, block)
+
+    def test_unprobed_pair_still_sums_the_ingested_gamma(self, free_orth):
+        # ("f", "fbar") is not ingested, so no sum over gamma can be certified;
+        # the one ingested pair with f, (triv, f) or (f, triv), still contributes
+        top = free_orth.rho("f")[0]
+        result = verify_theorem_5_3(free_orth, "f", "f", 1.0, top)
+        assert result["truncated"] is True and result["pass"] is None
+        assert result["lhs_norm_eq1"] == pytest.approx(1.0, abs=1e-12)
+        assert result["lhs_norm_eq2"] == pytest.approx(1.0, abs=1e-12)
+        modular = verify_modular(free_orth, "f", free_orth.fusion.pairs())
+        for side in ("id_tensor_h", "h_tensor_id"):
+            flags = {b["label"]: (b["complete"], b["missing"]) for b in modular[side]}
+            assert flags == {"triv": (True, []), "f": (False, []), "fbar": (False, [])}
+
+
 class TestSupplementRoundTrip:
     def _small_model(self):
         return resolve_builtin("su_q_2", q=0.5, max_level=3)
