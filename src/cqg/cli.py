@@ -24,9 +24,9 @@ from .errors import (
 )
 from .fusion import decompose, frobenius_check
 from .intertwiners import (
+    _unitarity_report,
     cg_set,
     cg_supplement_document,
-    verify_cg_unitarity,
     verify_coassociativity,
     verify_modular,
 )
@@ -254,24 +254,12 @@ def _cmd_fusion(args, report, m: QGModel) -> None:
 def _cmd_cg(args, report, m: QGModel) -> None:
     if args.beta is None or args.gamma is None:
         raise PreconditionError("cg needs --beta and --gamma")
-    tol = _tolerance(args)
-    tensors = cg_set(m, args.beta, args.gamma, tol)
-    unitarity = verify_cg_unitarity(tensors, tol)
-    for entry in unitarity["tensors"]:
-        report["results"].append(
-            {
-                "alpha": entry["alpha"],
-                "copy_index": entry["copy_index"],
-                "isometry_residual": entry["isometry_residual"],
-            }
-        )
-    report["results"].append(
-        {
-            "cross_orthogonality_residual": unitarity["cross_orthogonality_residual"],
-            "completeness_residual": unitarity["completeness_residual"],
-            "max_residual": unitarity["max_residual"],
-        }
-    )
+    tensors = cg_set(m, args.beta, args.gamma, _tolerance(args))
+    unitarity = _unitarity_report(m, args.beta, args.gamma, tensors)
+    # copies of the per-tensor rows: the report itself stays in the model's store
+    report["results"] += [dict(entry) for entry in unitarity["tensors"]]
+    stack = ("cross_orthogonality_residual", "completeness_residual", "max_residual")
+    report["results"].append({key: unitarity[key] for key in stack})
 
 
 def _cmd_verify_theorem_5_3(args, report, m: QGModel) -> None:

@@ -173,10 +173,7 @@ def cg_set(
     tensors = m._memo(("cg", beta, gamma), lambda: _build_cg_set(m, beta, gamma))
     if check:
         bound = max(tol.abs, 1e-9)
-        unitarity = m._memo(
-            ("cg-unitarity", beta, gamma),
-            lambda: verify_cg_unitarity(tensors)["max_residual"],
-        )
+        unitarity = _unitarity_report(m, beta, gamma, tensors)["max_residual"]
         if unitarity > bound:
             raise ModelConsistencyError(
                 f"CG data for ({beta!r}, {gamma!r}) fails unitarity: "
@@ -193,6 +190,11 @@ def cg_set(
                     f"intertwining: residual {resid:.3e}"
                 )
     return list(tensors)
+
+
+def _unitarity_report(m: QGModel, beta: str, gamma: str, tensors: Sequence[CGTensor]) -> dict:
+    """verify_cg_unitarity of the pair's tensors, run at most once per model."""
+    return m._memo(("cg-unitarity", beta, gamma), lambda: verify_cg_unitarity(tensors))
 
 
 def _build_cg_set(m: QGModel, beta: str, gamma: str) -> tuple[CGTensor, ...]:
@@ -224,7 +226,7 @@ def _build_cg_set(m: QGModel, beta: str, gamma: str) -> tuple[CGTensor, ...]:
         counts[t.alpha] = counts.get(t.alpha, 0) + 1
     if counts != row:
         raise ModelConsistencyError(
-            f"CG data for ({beta!r}, {gamma!r}) covers {counts}, fusion row is {row}"
+            f"CG data for ({beta!r}, {gamma!r}) covers {counts}, fusion row is {dict(row)}"
         )
     for t in tensors:
         expected = list(range(1, counts[t.alpha] + 1))
@@ -404,53 +406,43 @@ def verify_modular(
     """
     pairs = _canonical_pairs(m, support)
     order = {label: k for k, label in enumerate(m.labels)}
-    n_a = m.dim(alpha)
     lam_alpha = np.asarray(tuple(m.rho(alpha)))
     d_alpha = float(m.rho(alpha).trace())
 
     pair_tensors = {pair: _tensors_into(m, *pair, alpha) for pair in pairs}
 
-    def leg_blocks(fixed_left: bool, power: float) -> list[dict]:
-        """Blocks of one leg, labelled by the pair's fixed slot.
+    def leg_blocks(fixed_left: bool, power: float, spec: str) -> list[dict]:
+        """Blocks of one leg for every matrix unit (a, a') at once, labelled by the fixed slot.
 
-        The first leg (id x h) fixes gamma and expects rho**-2 on the block
-        diagonal; the second leg (h x id) is the same sum on transposed
-        coefficient views, fixing beta and expecting rho**0 = 1.
+        The first leg (id x h) fixes gamma, lets h act on the beta factor and
+        expects rho**-2 on the block diagonal; the second leg (h x id) fixes
+        beta, lets h act on the gamma factor and expects rho**0 = 1.  ``spec``
+        contracts one tensor into the (a, a', fixed, fixed') array of the leg.
         """
         k = 0 if fixed_left else 1
         blocks = []
         for label in sorted({pair[k] for pair in pairs}, key=order.get):
             n = m.dim(label)
             expected_diag = np.asarray(tuple(m.rho(label))) ** power
-            diff = 0.0
+            acc = np.zeros((len(lam_alpha), len(lam_alpha), n, n), dtype=complex)
+            for pair, tensors in pair_tensors.items():
+                if pair[k] != label:
+                    continue
+                lam_other = np.asarray(tuple(m.rho(pair[1 - k])))
+                d_other = float(m.rho(pair[1 - k]).trace())
+                for t in tensors:
+                    acc += d_other * np.einsum(spec, t.coeffs, lam_other, t.coeffs.conj())
+            expected = np.multiply.outer(np.diag(d_alpha * lam_alpha), np.diag(expected_diag))
+            diff = float(np.max(np.abs(acc - expected)))
             scale = max(1.0, d_alpha * float(lam_alpha.max()) * float(expected_diag.max()))
-            for a in range(n_a):
-                for a2 in range(n_a):
-                    acc = np.zeros((n, n), dtype=complex)
-                    for pair, tensors in pair_tensors.items():
-                        if pair[k] != label:
-                            continue
-                        lam_other = np.asarray(tuple(m.rho(pair[1 - k])))
-                        d_other = float(m.rho(pair[1 - k]).trace())
-                        for t in tensors:
-                            ma, mb = t.coeffs[:, :, a], t.coeffs[:, :, a2]
-                            if fixed_left:
-                                ma, mb = ma.T, mb.T
-                            acc += d_other * (ma.T @ (lam_other[:, None] * mb.conj()))
-                    expected = (
-                        d_alpha * lam_alpha[a] * np.diag(expected_diag)
-                        if a == a2
-                        else np.zeros((n, n))
-                    )
-                    diff = max(diff, float(np.max(np.abs(acc - expected))))
             complete, missing = _certify_complete(m, alpha, label, fixed_left, pairs)
             blocks.append(
                 {"label": label, "residual": diff / scale, "complete": complete, "missing": missing}
             )
         return blocks
 
-    first_blocks = leg_blocks(False, -2.0)
-    second_blocks = leg_blocks(True, 0.0)
+    first_blocks = leg_blocks(False, -2.0, "bca,b,bCA->aAcC")
+    second_blocks = leg_blocks(True, 0.0, "bca,c,BcA->aAbB")
     blocks = first_blocks + second_blocks
     max_complete = max([0.0] + [b["residual"] for b in blocks if b["complete"]])
     return {
@@ -494,7 +486,7 @@ def verify_coassociativity(
                 triples.add((gamma, right, left))
 
     def contributors(inner: tuple[str, str], outer_pair) -> list | None:
-        """(outer, inner) tensor lists over the components x of the inner pair, or None.
+        """(outer, inner) tensor pairs over the components x of the inner pair, or None.
 
         The first-leg expansion of triple (p, q, r) has inner pair (q, p) and
         outer pair (r, x); the second-leg expansion has (r, q) and (x, p).
@@ -509,19 +501,8 @@ def verify_coassociativity(
             inner_all = _cg_for_target(m, *inner, x)
             if outer is None or inner_all is None:
                 return None
-            if outer:
-                out.append((outer, inner_all))
+            out += [(t_out, t_in) for t_out in outer for t_in in inner_all]
         return out
-
-    def expansion(contribs: list, spec: str, a: int, a2: int, size: int) -> np.ndarray:
-        acc = np.zeros((size, size), dtype=complex)
-        for outer, inner_all in contribs:
-            for t_out in outer:
-                for t_in in inner_all:
-                    ga = np.einsum(spec, t_in.coeffs, t_out.coeffs[:, :, a])
-                    gb = np.einsum(spec, t_in.coeffs, t_out.coeffs[:, :, a2])
-                    acc += np.outer(ga.reshape(-1), gb.conj().reshape(-1))
-        return acc
 
     results: list[dict] = []
     skipped: list[dict] = []
@@ -533,14 +514,20 @@ def verify_coassociativity(
             skipped.append({"triple": [p, q, r], "reason": "contributing sum leaves the fragment"})
             continue
         size = m.dim(p) * m.dim(q) * m.dim(r)
+        # each expansion as a (tensor pair, size, n_alpha) stack of its vectors
+        lhs, rhs = (
+            np.reshape([np.einsum(spec, t_in.coeffs, t_out.coeffs) for t_out, t_in in terms],
+                       (-1, size, n_a))
+            for terms, spec in ((left, "upc,rca->pura"), (right, "rub,bpa->pura"))
+        )
+        lhs_bar, rhs_bar = lhs.conj(), rhs.conj()
         diff = 0.0
         scale = 1.0
-        for a in range(n_a):
-            for a2 in range(n_a):
-                lhs = expansion(left, "upc,rc->pur", a, a2, size)
-                rhs = expansion(right, "rub,bp->pur", a, a2, size)
-                diff = max(diff, float(np.max(np.abs(lhs - rhs))))
-                scale = max(scale, float(np.max(np.abs(rhs))))
+        for a in range(n_a):  # every a' at once: n_alpha size^2 entries per step
+            rhs_a = np.einsum("kx,kyA->Axy", rhs[:, :, a], rhs_bar)
+            scale = max(scale, float(np.max(np.abs(rhs_a))))
+            rhs_a -= np.einsum("kx,kyA->Axy", lhs[:, :, a], lhs_bar)
+            diff = max(diff, float(np.max(np.abs(rhs_a))))
         resid = diff / scale
         max_residual = max(max_residual, resid)
         results.append({"triple": [p, q, r], "residual": resid})

@@ -84,26 +84,29 @@ def _standard_polynomial_blocks(mats: np.ndarray) -> np.ndarray:
 
     ``mats`` has shape (r, ..., n, n).  Splitting on the first factor gives
     M[A] = sum over i in A of (-1)^pos(i) x_i M[A minus i], costing r 2^(r-1)
-    products instead of r! while staying exact for integer inputs.
+    products instead of r! while staying exact for integer inputs.  Subsets
+    are built by size, and only the layer below the current one is kept.
     """
     r = mats.shape[0]
     n = mats.shape[-1]
     eye = np.broadcast_to(np.eye(n, dtype=mats.dtype), mats.shape[1:]).copy()
     table: dict[int, np.ndarray] = {0: eye}
-    full = (1 << r) - 1
-    for mask in sorted(range(1, full + 1), key=lambda v: v.bit_count()):
-        acc = None
-        position = 0
-        for i in range(r):
-            if not mask >> i & 1:
-                continue
-            term = mats[i] @ table[mask ^ (1 << i)]
-            if position % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-            position += 1
-        table[mask] = acc
-    return table[full]
+    by_size = sorted(range(1, 1 << r), key=int.bit_count)
+    for _, layer in itertools.groupby(by_size, key=int.bit_count):
+        below, table = table, {}
+        for mask in layer:
+            acc = None
+            position = 0
+            for i in range(r):
+                if not mask >> i & 1:
+                    continue
+                term = mats[i] @ below[mask ^ (1 << i)]
+                if position % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+                position += 1
+            table[mask] = acc
+    return table[(1 << r) - 1]
 
 
 def standard_polynomial(xs: Sequence[C00Element]) -> C00Element:
@@ -122,15 +125,6 @@ def standard_polynomial(xs: Sequence[C00Element]) -> C00Element:
         stack = np.stack([x.block(label) for x in xs])
         blocks[label] = _standard_polynomial_blocks(stack)
     return C00Element(blocks)
-
-
-def _matrix_units(m: QGModel) -> list[tuple[str, int, int]]:
-    return [
-        (label, i, j)
-        for label in m.labels
-        for i in range(m.dim(label))
-        for j in range(m.dim(label))
-    ]
 
 
 def bounded_degree_identity_check(
@@ -163,6 +157,13 @@ def bounded_degree_identity_check(
         counts = {"tuples_checked": total}
         witness = _first_unit_witness(m, dims, r)
     elif strategy == "random":
+        half = (r + 1) // 2  # the subset table peaks at its two widest layers
+        widest = math.comb(r, half) + math.comb(r, half - 1)
+        entries = widest * trials * max(n * n for n in dims.values())
+        if entries > 10**8:
+            raise PreconditionError(
+                f"random check needs {entries} table entries at once, above the 10^8 bound"
+            )
         counts = {"trials": trials, "seed": int(seed)}
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         draws = {

@@ -16,6 +16,7 @@ import math
 import os
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable
 
 from .errors import ModelConsistencyError, ModelSchemaError, TruncationError
@@ -141,7 +142,7 @@ class FusionTable:
     """
 
     def __init__(self, entries: Mapping[tuple[str, str], Mapping[str, int]]):
-        table: dict[tuple[str, str], dict[str, int]] = {}
+        table: dict[tuple[str, str], Mapping[str, int]] = {}
         for (left, right), components in entries.items():
             row = {str(label): int(mult) for label, mult in components.items()}
             for label, mult in row.items():
@@ -149,7 +150,7 @@ class FusionTable:
                     raise ModelConsistencyError(
                         f"fusion {left!r} x {right!r}: multiplicity of {label!r} is {mult}, must be >= 1"
                     )
-            table[(str(left), str(right))] = row
+            table[(str(left), str(right))] = MappingProxyType(row)
         self._entries = table
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -161,18 +162,15 @@ class FusionTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, left: str, right: str) -> dict[str, int] | None:
-        row = self._entries.get((left, right))
-        return dict(row) if row is not None else None
-
-    def components(self, left: str, right: str) -> dict[str, int]:
+    def components(self, left: str, right: str) -> Mapping[str, int]:
+        """The read-only row of an ingested pair; TruncationError when the pair is absent."""
         row = self._entries.get((left, right))
         if row is None:
             raise TruncationError(
                 f"fusion pair ({left!r}, {right!r}) is not ingested in this model fragment",
                 pair=(left, right),
             )
-        return dict(row)
+        return row
 
     def multiplicity(self, alpha: str, left: str, right: str) -> int:
         return self.components(left, right).get(alpha, 0)
@@ -380,7 +378,7 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
                     "trivial-unit",
                     (left, right),
                     None,
-                    f"{product} must decompose as {other!r} alone; got {row}",
+                    f"{product} must decompose as {other!r} alone; got {dict(row)}",
                 )
         # multiplicity of the trivial component detects conjugate pairs:
         # it is 1 exactly when right = conjugate(left)
@@ -410,7 +408,8 @@ def _frobenius_mismatches(m: QGModel) -> Iterator[tuple[str, str, str, int, int,
     Yields (alpha, beta, gamma, m1, reciprocal multiplicity, message) per
     mismatch; pairs that reference labels outside the model are skipped.
     """
-    rows = m.fusion._entries  # read in place: components() copies a row on every call
+    # plain copies, made once: the loop below reads each row once per label
+    rows = {pair: dict(m.fusion.components(*pair)) for pair in m.fusion.pairs()}
     for (beta, gamma), row in rows.items():
         if beta not in m or gamma not in m or any(label not in m for label in row):
             continue
@@ -600,7 +599,7 @@ def model_to_document(m: QGModel) -> dict[str, Any]:
         for irr in m.irreps
     ]
     doc["fusion"] = [
-        {"left": left, "right": right, "components": m.fusion.components(left, right)}
+        {"left": left, "right": right, "components": dict(m.fusion.components(left, right))}
         for left, right in m.fusion.pairs()
     ]
     if m.truncation_note:

@@ -115,6 +115,36 @@ def delta_hat_reference(tensors, alpha: str, a: int, a_prime: int) -> dict:
     return {(tensor.beta, tensor.gamma): block}
 
 
+def modular_legs_reference(blocks: dict, spectra: dict) -> dict:
+    """(id (x) h) and (h (x) id) of the delta_hat_reference blocks of one matrix unit.
+
+    blocks maps (beta, gamma) to its block on H_gamma (x) H_beta (gamma index
+    major); spectra maps each label to its rho eigenvalues in basis order.
+    id (x) h applies h(e^beta_{b,b'}) = d_1(beta) lambda_b delta_{b,b'} to the
+    beta factor and lands on gamma; h (x) id does the same to the gamma factor
+    and lands on beta.  Returns {("id_tensor_h", gamma) or ("h_tensor_id",
+    beta): matrix}, summed over the pairs sharing that label.
+    """
+    out: dict = {}
+    for (beta, gamma), block in blocks.items():
+        lam_b, lam_c = spectra[beta], spectra[gamma]
+        n_b, n_c = len(lam_b), len(lam_c)
+        first = np.zeros((n_c, n_c), dtype=complex)
+        second = np.zeros((n_b, n_b), dtype=complex)
+        for c in range(n_c):
+            for b in range(n_b):
+                for c2 in range(n_c):
+                    for b2 in range(n_b):
+                        entry = block[c * n_b + b, c2 * n_b + b2]
+                        if b == b2:
+                            first[c, c2] += sum(lam_b) * lam_b[b] * entry
+                        if c == c2:
+                            second[b, b2] += sum(lam_c) * lam_c[c] * entry
+        for key, leg in ((("id_tensor_h", gamma), first), (("h_tensor_id", beta), second)):
+            out[key] = out.get(key, 0) + leg
+    return out
+
+
 def haar_on_matrix_unit(spectrum, a: int, a_prime: int) -> float:
     """h(e^alpha_{a,a'}) = d_1(alpha) * lambda_a * delta_{a,a'}."""
     if a != a_prime:

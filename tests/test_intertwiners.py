@@ -25,7 +25,7 @@ from cqg.intertwiners import (
 )
 from cqg.fusion import tensor_power_decompose
 from cqg.models import resolve_builtin
-from cqg.rep_data import Tolerance, load_model, model_to_document
+from cqg.rep_data import FusionTable, Tolerance, load_model, model_to_document, validate_model
 from cqg.spectral import spectral_grid, verify_theorem_5_3
 
 from . import oracles
@@ -193,6 +193,54 @@ class TestModularIdentities:
         assert result["truncated"]
 
 
+@pytest.mark.parametrize(
+    "name, q, dropped, truncated",
+    [
+        ("su_q_2", 0.5, None, True),
+        ("su_q_2", 2.0, None, True),
+        ("s3", 0.5, None, False),
+        ("s3", 0.5, ("std", "std"), True),  # s3 is complete on its full support
+    ],
+)
+def test_modular_residuals_match_the_quadruple_loop(name, q, dropped, truncated):
+    """Every block residual of verify_modular, against delta_hat_reference summed by hand.
+
+    Complete blocks sit at rounding level; the incomplete ones, whose sums
+    leave the support, carry the O(1) residuals that make the comparison bite.
+    """
+    m = resolve_builtin(name, q=q, max_level=4)
+    support = [pair for pair in m.fusion.pairs() if pair != dropped]
+    spectra = {label: list(m.rho(label)) for label in m.labels}
+    legs = (("id_tensor_h", -2.0), ("h_tensor_id", 0.0))
+    nontrivial = 0
+    for alpha in m.labels:
+        lam = spectra[alpha]
+        worst: dict = {}
+        for a in range(len(lam)):
+            for a2 in range(len(lam)):
+                blocks: dict = {}
+                for pair in support:
+                    blocks.update(oracles.delta_hat_reference(cg_set(m, *pair), alpha, a, a2))
+                applied = oracles.modular_legs_reference(blocks, spectra)
+                for side, power in legs:
+                    for label in m.labels:
+                        diag = np.asarray(spectra[label]) ** power
+                        expected = oracles.haar_on_matrix_unit(lam, a, a2) * np.diag(diag)
+                        diff = float(np.max(np.abs(applied.get((side, label), 0) - expected)))
+                        worst[side, label] = max(worst.get((side, label), 0.0), diff)
+        result = verify_modular(m, alpha, support)
+        for side, power in legs:
+            for block in result[side]:
+                top = max(np.asarray(spectra[block["label"]]) ** power)
+                scale = max(1.0, sum(lam) * max(lam) * top)
+                want = worst[side, block["label"]] / scale
+                assert block["residual"] == pytest.approx(want, rel=1e-12, abs=1e-14), (
+                    alpha, side, block,
+                )
+                nontrivial += want > 1e-6
+    assert bool(nontrivial) == truncated
+
+
 class TestCoassociativity:
     def test_s3_all_triples(self, s3_dual):
         support = list(s3_dual.fusion.pairs())
@@ -255,6 +303,29 @@ class TestCompletenessCertificate:
         for side in ("id_tensor_h", "h_tensor_id"):
             flags = {b["label"]: (b["complete"], b["missing"]) for b in modular[side]}
             assert flags == {"triv": (True, []), "f": (False, []), "fbar": (False, [])}
+
+
+    def test_probe_orientation_on_a_one_sided_fragment(self):
+        # cyclic3 without (2, 1): the id x h block gamma of alpha sums x = alpha - gamma,
+        # probing (alpha, -gamma) and needing (x, gamma); the h x id block beta sums
+        # x = alpha - beta, probing (-beta, alpha) and needing (beta, x)
+        m = resolve_builtin("cyclic3")
+        rows = {p: m.fusion.components(*p) for p in m.fusion.pairs() if p != ("2", "1")}
+        one_sided = dataclasses.replace(m, fusion=FusionTable(rows))
+        assert validate_model(one_sided).issues == []
+        incomplete = {
+            ("0", "id_tensor_h", "1"): (False, ["2"]),  # needs (2, 1)
+            ("0", "h_tensor_id", "2"): (False, ["1"]),  # needs (2, 1)
+            ("1", "h_tensor_id", "1"): (False, []),  # probe (2, 1) absent
+            ("2", "id_tensor_h", "2"): (False, []),  # probe (2, 1) absent
+        }
+        for alpha in one_sided.labels:
+            result = verify_modular(one_sided, alpha, one_sided.fusion.pairs())
+            for side in ("id_tensor_h", "h_tensor_id"):
+                assert [b["label"] for b in result[side]] == list(one_sided.labels)
+                for block in result[side]:
+                    want = incomplete.get((alpha, side, block["label"]), (True, []))
+                    assert (block["complete"], block["missing"]) == want, (alpha, side, block)
 
 
 class TestSupplementRoundTrip:

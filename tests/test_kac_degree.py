@@ -150,6 +150,14 @@ class TestBoundedDegree:
         with pytest.raises(PreconditionError):
             bounded_degree_identity_check(suq2_half, 4, strategy="exhaustive")
 
+    def test_random_size_guard_fires_before_drawing(self):
+        # the CLI's default r = 2 N_G on su_q_2 level 8: the subset table's two widest
+        # layers would hold (C(18, 9) + C(18, 8)) * 1000 * 9^2 int64 entries, about 60 GB
+        m = resolve_builtin("su_q_2", q=2.0, max_level=8)
+        entries = (math.comb(18, 9) + math.comb(18, 8)) * 1000 * 81
+        with pytest.raises(PreconditionError, match=f"needs {entries} table entries"):
+            bounded_degree_identity_check(m, 18, strategy="random", trials=1000)
+
     def test_strategy_and_degree_validation(self, s3_dual):
         with pytest.raises(PreconditionError):
             bounded_degree_identity_check(s3_dual, 1)
