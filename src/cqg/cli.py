@@ -148,6 +148,11 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
             for row in rows:
                 lines.append("  " + "  ".join(f"{k}={_fmt_cell(v)}" for k, v in row.items()))
         text = "\n".join(lines) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args: argparse.Namespace) -> None:
+    """Write to ``--out`` when given, else to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -262,6 +267,11 @@ def _cmd_cg(args, report, m: QGModel) -> None:
     report["results"].append({key: unitarity[key] for key in stack})
 
 
+_THEOREM_5_3_ROW = (
+    "alpha", "beta", "s", "t", "on_grid", "residual_eq1", "residual_eq2", "truncated"
+)
+
+
 def _cmd_verify_theorem_5_3(args, report, m: QGModel) -> None:
     tol = _tolerance(args)
     alphas = _labels_arg(m, args.alpha)
@@ -270,16 +280,7 @@ def _cmd_verify_theorem_5_3(args, report, m: QGModel) -> None:
         for beta in betas:
             for s, t in spectral_grid(m, alpha, beta, probes=args.probes, tol=tol):
                 result = verify_theorem_5_3(m, alpha, beta, s, t, tol)
-                row = {
-                    "alpha": alpha,
-                    "beta": beta,
-                    "s": s,
-                    "t": t,
-                    "on_grid": result["on_grid"],
-                    "residual_eq1": result["residual_eq1"],
-                    "residual_eq2": result["residual_eq2"],
-                    "truncated": result["truncated"],
-                }
+                row = {k: result[k] for k in _THEOREM_5_3_ROW}
                 report["results"].append(row)
                 if result["truncated"]:
                     report["truncations"].append(
@@ -292,7 +293,6 @@ def _cmd_verify_theorem_5_3(args, report, m: QGModel) -> None:
 def _cmd_verify_haar_modular(args, report, m: QGModel) -> None:
     tol = _tolerance(args)
     support = sorted(m.fusion.pairs())
-    bound = max(tol.abs, tol.rel)
     for alpha in _labels_arg(m, args.alpha):
         try:
             result = verify_modular(m, alpha, support, tol)
@@ -309,7 +309,7 @@ def _cmd_verify_haar_modular(args, report, m: QGModel) -> None:
                     "complete": block["complete"],
                 }
                 report["results"].append(row)
-                if block["complete"] and block["residual"] > bound:
+                if block["pass"] is False:
                     report["violations"].append(dict(row, check="haar-modular"))
                 if not block["complete"]:
                     report["truncations"].append(
@@ -322,7 +322,7 @@ def _cmd_verify_haar_modular(args, report, m: QGModel) -> None:
                     )
         coassoc = verify_coassociativity(m, alpha, support, tol)
         for triple in coassoc["triples"]:
-            if triple["residual"] > bound:
+            if not triple["pass"]:
                 report["violations"].append(
                     {
                         "check": "coassociativity",
@@ -494,12 +494,7 @@ def _cmd_export(args, report, m: QGModel) -> None:
     if args.include_cg:
         pairs = sorted(m.fusion.pairs())
         document["cg"] = cg_supplement_document(m, pairs)
-    text = json.dumps(_round12(document), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(_round12(document), indent=2) + "\n", args)
 
 
 _VERIFY = {

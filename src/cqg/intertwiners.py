@@ -410,6 +410,7 @@ def verify_modular(
     d_alpha = float(m.rho(alpha).trace())
 
     pair_tensors = {pair: _tensors_into(m, *pair, alpha) for pair in pairs}
+    bound = max(tol.abs, tol.rel)
 
     def leg_blocks(fixed_left: bool, power: float, spec: str) -> list[dict]:
         """Blocks of one leg for every matrix unit (a, a') at once, labelled by the fixed slot.
@@ -435,9 +436,11 @@ def verify_modular(
             expected = np.multiply.outer(np.diag(d_alpha * lam_alpha), np.diag(expected_diag))
             diff = float(np.max(np.abs(acc - expected)))
             scale = max(1.0, d_alpha * float(lam_alpha.max()) * float(expected_diag.max()))
+            resid = diff / scale
             complete, missing = _certify_complete(m, alpha, label, fixed_left, pairs)
             blocks.append(
-                {"label": label, "residual": diff / scale, "complete": complete, "missing": missing}
+                {"label": label, "residual": resid, "complete": complete, "missing": missing,
+                 "pass": resid <= bound if complete else None}
             )
         return blocks
 
@@ -452,7 +455,7 @@ def verify_modular(
         "h_tensor_id": second_blocks,
         "max_complete_residual": max_complete,
         "truncated": not all(b["complete"] for b in blocks),
-        "pass": max_complete <= max(tol.abs, tol.rel),
+        "pass": max_complete <= bound,
     }
 
 
@@ -472,6 +475,7 @@ def verify_coassociativity(
     pairs = _canonical_pairs(m, support)
     order = {label: k for k, label in enumerate(m.labels)}
     n_a = m.dim(alpha)
+    bound = max(tol.abs, tol.rel)
 
     # candidate triples from both expansions
     triples: set[tuple[str, str, str]] = set()
@@ -530,7 +534,7 @@ def verify_coassociativity(
             diff = max(diff, float(np.max(np.abs(rhs_a))))
         resid = diff / scale
         max_residual = max(max_residual, resid)
-        results.append({"triple": [p, q, r], "residual": resid})
+        results.append({"triple": [p, q, r], "residual": resid, "pass": resid <= bound})
     return {
         "alpha": alpha,
         "support": [list(pair) for pair in pairs],
@@ -538,7 +542,7 @@ def verify_coassociativity(
         "skipped": skipped,
         "max_residual": max_residual,
         "truncated": bool(skipped),
-        "pass": max_residual <= max(tol.abs, tol.rel),
+        "pass": max_residual <= bound,
     }
 
 
@@ -814,13 +818,9 @@ def cg_supplement_document(m: QGModel, pairs: Iterable[tuple[str, str]]) -> list
     for beta, gamma in _canonical_pairs(m, pairs):
         for t in cg_set(m, beta, gamma):
             rows = []
-            n_b, n_c, n_a = t.shape
-            for b in range(n_b):
-                for c in range(n_c):
-                    for a in range(n_a):
-                        v = t.coeffs[b, c, a]
-                        if abs(v) > 0.0:
-                            rows.append([a, b, c, float(v.real), float(v.imag)])
+            for b, c, a in zip(*np.nonzero(t.coeffs)):  # C order: rows sorted by (b, c, a)
+                v = t.coeffs[b, c, a]
+                rows.append([int(a), int(b), int(c), float(v.real), float(v.imag)])
             entries.append(
                 {
                     "alpha": t.alpha,

@@ -218,6 +218,12 @@ def _first_unit_witness(m: QGModel, dims: dict[str, int], r: int) -> dict | None
     return None
 
 
+def _top_ratio(m: QGModel, label: str, tol: Tolerance) -> float:
+    """d_1 / dim H(Gamma), Gamma the top rho eigenvalue of the label."""
+    spec = m.rho(label)
+    return float(spec.trace()) / eigenspace_dim(spec, spec[0], tol)
+
+
 def prop_6_2_check(
     m: QGModel, alpha: str, beta: str, gamma: str, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> dict:
@@ -237,17 +243,13 @@ def prop_6_2_check(
             f"top eigenvalue of {gamma!r} is not the product of the factors' top eigenvalues"
         )
 
-    def ratio(label: str) -> float:
-        top_dim = eigenspace_dim(m.rho(label), m.rho(label)[0], tol)
-        return float(m.rho(label).trace()) / top_dim
-
     qualifying = [
         c
         for c in row
         if abs(math.log(m.rho(c)[0]) - log_target) <= 2 * tol.eigen_group
     ]
-    best = max(ratio(c) for c in qualifying)
-    if ratio(gamma) < best * (1.0 - tol.rel):
+    best = max(_top_ratio(m, c, tol) for c in qualifying)
+    if _top_ratio(m, gamma, tol) < best * (1.0 - tol.rel):
         raise PreconditionError(
             f"{gamma!r} does not maximize d_1/dim H(Gamma) among qualifying components "
             f"{qualifying}"
@@ -338,13 +340,7 @@ def main_theorem_sequence(
             raise ModelConsistencyError(
                 f"no component of {prev.label!r} squared has the squared top eigenvalue"
             )
-
-        def sort_key(label: str):
-            top_dim = eigenspace_dim(m.rho(label), m.rho(label)[0], tol)
-            ratio = float(m.rho(label).trace()) / top_dim
-            return (-ratio, m.dim(label), label)
-
-        chosen = min(candidates, key=sort_key)
+        chosen = min(candidates, key=lambda c: (-_top_ratio(m, c, tol), m.dim(c), c))
         seq.append(make_step(k, chosen))
     return seq
 

@@ -266,10 +266,6 @@ class ValidationReport:
         self.issues.append(ValidationIssue(invariant, tuple(labels), residual, message))
 
 
-def _quantum_dimension(s: RhoSpectrum) -> float:
-    return s.trace()
-
-
 def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> ValidationReport:
     """Check every structural invariant; violations become report entries, never exceptions."""
     report = ValidationReport()
@@ -359,8 +355,8 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
                 float(abs(dim_sum - dim_prod)),
                 f"fusion {left!r} x {right!r}: component dims sum to {dim_sum}, product is {dim_prod}",
             )
-        d1_sum = sum(mult * _quantum_dimension(m.rho(label)) for label, mult in row.items())
-        d1_prod = _quantum_dimension(m.rho(left)) * _quantum_dimension(m.rho(right))
+        d1_sum = sum(mult * m.rho(label).trace() for label, mult in row.items())
+        d1_prod = m.rho(left).trace() * m.rho(right).trace()
         if not tol.close(d1_sum, d1_prod):
             report.add(
                 "quantum-dimension-count",

@@ -107,10 +107,8 @@ def spectral_grid(
 
 
 def _projection_diag(s: RhoSpectrum, t: float, tol: Tolerance) -> np.ndarray:
-    diag = np.zeros(len(s))
-    for a in spectral_projection(s, t, tol).index_set:
-        diag[a] = 1.0
-    return diag
+    """0/1 mask of the eigenvalues of s equal to t; its sum is dim H(t)."""
+    return np.array([float(tol.same_eigenvalue(lam, t)) for lam in s])
 
 
 def verify_theorem_5_3(
@@ -133,57 +131,44 @@ def verify_theorem_5_3(
     The sums need every gamma with nonzero multiplicity; when the fragment
     cannot certify that set complete the result is flagged truncated.
     """
-    if not (s > 0 and t > 0 and math.isfinite(s) and math.isfinite(t)):
+    if not (s > 0 and t > 0 and 0 < s * t < math.inf):
         raise PreconditionError("spectral parameters must be positive finite reals")
     s_alpha = m.rho(alpha)
-    s_beta = m.rho(beta)
-    n_alpha = m.dim(alpha)
+    mask_alpha = _projection_diag(s_alpha, s * t, tol)
+    mask_beta = _projection_diag(m.rho(beta), t, tol)
+    mask_gamma: dict[str, np.ndarray] = {}
     d_alpha = float(s_alpha.trace())
-    dim_beta_t = eigenspace_dim(s_beta, t, tol)
-    dim_alpha_st = eigenspace_dim(s_alpha, s * t, tol)
+    dim_beta_t = int(mask_beta.sum())
+    dim_alpha_st = int(mask_alpha.sum())
     on_grid = dim_beta_t > 0 and dim_alpha_st > 0
-    proj_alpha = np.diag(_projection_diag(s_alpha, s * t, tol))
-    proj_beta = _projection_diag(s_beta, t, tol)
 
-    def side(first_is_gamma: bool) -> tuple[np.ndarray, bool]:
-        # eq1 puts gamma in the first slot, eq2 in the second; the sum runs
-        # over every ingested pair of gamma with beta that contains alpha
+    def equation(first_is_gamma: bool, c: float) -> tuple[float, float, float, bool]:
+        # (residual, lhs norm, rhs norm, complete) of the identity with rhs c P_alpha(st); eq1
+        # puts gamma in the first slot, eq2 in the second, over the pairs that contain alpha
         complete, _ = _certify_complete(m, alpha, beta, not first_is_gamma, m.fusion)
-        acc = np.zeros((n_alpha, n_alpha), dtype=complex)
+        lhs = np.zeros((len(s_alpha), len(s_alpha)), dtype=complex)
         for gamma in m.labels:
             pair = (gamma, beta) if first_is_gamma else (beta, gamma)
             if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
                 continue
-            s_gamma = m.rho(gamma)
-            d_gamma = float(s_gamma.trace())
-            proj_gamma = _projection_diag(s_gamma, s, tol)
-            weight = (
-                np.multiply.outer(proj_gamma, proj_beta)
-                if first_is_gamma
-                else np.multiply.outer(proj_beta, proj_gamma)
-            ).reshape(-1)
-            for tensor in cg_set(m, *pair):
-                if tensor.alpha != alpha:
-                    continue
-                v = tensor.matrix
-                acc += d_gamma * (v.conj().T @ (weight[:, None] * v))
-        return acc, complete
-
-    lhs1, complete1 = side(True)
-    lhs2, complete2 = side(False)
-    rhs1 = (d_alpha / t) * dim_beta_t * proj_alpha
-    rhs2 = d_alpha * t * dim_beta_t * proj_alpha
-
-    def residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
+            if gamma not in mask_gamma:
+                mask_gamma[gamma] = _projection_diag(m.rho(gamma), s, tol)
+            d_gamma = float(m.rho(gamma).trace())
+            masks = (mask_gamma[gamma], mask_beta)
+            weight = np.multiply.outer(*(masks if first_is_gamma else masks[::-1])).reshape(-1)
+            for v in (tensor.matrix for tensor in cg_set(m, *pair) if tensor.alpha == alpha):
+                lhs += d_gamma * (v.conj().T @ (weight[:, None] * v))
         lhs_norm = float(np.linalg.norm(lhs, 2))
-        rhs_norm = float(np.linalg.norm(rhs, 2))
-        if on_grid:
-            return float(np.linalg.norm(lhs - rhs, 2)) / max(rhs_norm, 1.0), lhs_norm, rhs_norm
-        return max(lhs_norm, rhs_norm), lhs_norm, rhs_norm
+        rhs_norm = abs(c) if dim_alpha_st else 0.0
+        if not on_grid:  # the right-hand side is zero
+            return lhs_norm, lhs_norm, rhs_norm, complete
+        diff = float(np.linalg.norm(lhs - c * np.diag(mask_alpha), 2))
+        return diff / max(rhs_norm, 1.0), lhs_norm, rhs_norm, complete
 
-    residual_eq1, lhs_norm_1, rhs_norm_1 = residual(lhs1, rhs1)
-    residual_eq2, lhs_norm_2, rhs_norm_2 = residual(lhs2, rhs2)
+    residual_eq1, lhs_norm_1, rhs_norm_1, complete1 = equation(True, d_alpha / t * dim_beta_t)
+    residual_eq2, lhs_norm_2, rhs_norm_2, complete2 = equation(False, d_alpha * t * dim_beta_t)
     truncated = not (complete1 and complete2)
+    bound = max(tol.abs, tol.rel)
     return {
         "alpha": alpha,
         "beta": beta,
@@ -199,7 +184,5 @@ def verify_theorem_5_3(
         "lhs_norm_eq2": lhs_norm_2,
         "rhs_norm_eq2": rhs_norm_2,
         "truncated": truncated,
-        "pass": (residual_eq1 <= max(tol.abs, tol.rel) and residual_eq2 <= max(tol.abs, tol.rel))
-        if not truncated
-        else None,
+        "pass": None if truncated else residual_eq1 <= bound and residual_eq2 <= bound,
     }

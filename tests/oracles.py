@@ -183,3 +183,61 @@ MAIN_SEQUENCE_Q_HALF = [
     (4, "8", 256.0, 341.33203125, 9),
     (5, "16", 65536.0, 87381.33332824707, 17),
 ]
+
+
+def theorem_5_3_reference(m, alpha: str, beta: str, s: float, t: float, tol) -> dict:
+    """Every key of verify_theorem_5_3 at one (s, t) point, in dense form.
+
+    Projections are dense 0/1 diagonal matrices built from spectral_projection,
+    both right-hand sides are dense matrices, and every norm (the right-hand
+    ones included) is an SVD 2-norm.  The summation set, the CG tensors and
+    the completeness certificate are the library's own, and each left-hand
+    side is accumulated with the same weights in the same order, so every
+    value can be compared with ==.
+    """
+    from cqg.intertwiners import _certify_complete, cg_set
+    from cqg.spectral import spectral_projection
+
+    def proj(label: str, value: float) -> np.ndarray:
+        p = np.zeros((m.dim(label), m.dim(label)))
+        for a in spectral_projection(m.rho(label), value, tol).index_set:
+            p[a, a] = 1.0
+        return p
+
+    p_alpha, p_beta = proj(alpha, s * t), proj(beta, t)
+    dim_beta_t = spectral_projection(m.rho(beta), t, tol).dim
+    dim_alpha_st = spectral_projection(m.rho(alpha), s * t, tol).dim
+    d_alpha = float(m.rho(alpha).trace())
+    on_grid = dim_beta_t > 0 and dim_alpha_st > 0
+    out = {"alpha": alpha, "beta": beta, "s": float(s), "t": float(t), "on_grid": on_grid,
+           "dim_h_beta_t": dim_beta_t, "dim_h_alpha_st": dim_alpha_st}
+    norms, complete = {}, True
+    for eq, first_is_gamma, rhs in (
+        ("eq1", True, (d_alpha / t) * dim_beta_t * p_alpha),
+        ("eq2", False, d_alpha * t * dim_beta_t * p_alpha),
+    ):
+        complete &= _certify_complete(m, alpha, beta, not first_is_gamma, m.fusion)[0]
+        lhs = np.zeros((m.dim(alpha), m.dim(alpha)), dtype=complex)
+        for gamma in m.labels:
+            pair = (gamma, beta) if first_is_gamma else (beta, gamma)
+            if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
+                continue
+            factors = (proj(gamma, s), p_beta) if first_is_gamma else (p_beta, proj(gamma, s))
+            weight = np.diag(np.kron(*factors))
+            for tensor in cg_set(m, *pair):
+                if tensor.alpha == alpha:
+                    v = tensor.matrix
+                    lhs += float(m.rho(gamma).trace()) * (v.conj().T @ (weight[:, None] * v))
+        lhs_norm = float(np.linalg.norm(lhs, 2))
+        rhs_norm = float(np.linalg.norm(rhs, 2))
+        if on_grid:
+            out[f"residual_{eq}"] = float(np.linalg.norm(lhs - rhs, 2)) / max(rhs_norm, 1.0)
+        else:
+            out[f"residual_{eq}"] = max(lhs_norm, rhs_norm)
+        norms[f"lhs_norm_{eq}"], norms[f"rhs_norm_{eq}"] = lhs_norm, rhs_norm
+    bound = max(tol.abs, tol.rel)
+    out.update(norms, truncated=not complete)
+    out["pass"] = (
+        out["residual_eq1"] <= bound and out["residual_eq2"] <= bound if complete else None
+    )
+    return out

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqg import resolve_builtin
 from cqg.errors import PreconditionError
-from cqg.rep_data import RhoSpectrum, Tolerance, normalize_rho
+from cqg.rep_data import DEFAULT_TOLERANCE, RhoSpectrum, Tolerance, normalize_rho
 from cqg.spectral import (
     distinct_eigenvalues,
     eigenspace_dim,
@@ -19,6 +20,7 @@ from cqg.spectral import (
 )
 
 from .conftest import TIGHT
+from .oracles import theorem_5_3_reference
 
 positive = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
 
@@ -162,3 +164,32 @@ class TestTheorem53:
             verify_theorem_5_3(suq2_half, "1", "1", -1.0, 2.0, TIGHT)
         with pytest.raises(PreconditionError):
             verify_theorem_5_3(suq2_half, "1", "1", 1.0, 0.0, TIGHT)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("su_q_2", {"q": 0.5, "max_level": 6}),
+        ("su_q_2", {"q": 2.0, "max_level": 6}),
+        ("su_q_2", {"q": 1.0, "max_level": 4}),
+        ("s3", {}),
+        ("cyclic5", {}),
+        ("free_orthogonal", {"f_diag": [1.0, 2.0, 3.0]}),
+    ],
+)
+def test_theorem_5_3_equals_the_dense_reference(name, params):
+    # every key, exactly: masks and closed-form |c| against dense projections and SVD norms
+    m = resolve_builtin(name, **params)
+    support_kinds = set()
+    for alpha in m.labels:
+        for beta in m.labels:
+            # the grid and its probes, then points with only beta, or only alpha, on support
+            points = spectral_grid(m, alpha, beta, probes=2)
+            points += [(7.0, t) for t in distinct_eigenvalues(m.rho(beta))]
+            points += [(lam / 7.0, 7.0) for lam in distinct_eigenvalues(m.rho(alpha))]
+            for s, t in points:
+                result = verify_theorem_5_3(m, alpha, beta, s, t, DEFAULT_TOLERANCE)
+                want = theorem_5_3_reference(m, alpha, beta, s, t, DEFAULT_TOLERANCE)
+                assert list(result.items()) == list(want.items()), (alpha, beta, s, t)
+                support_kinds.add((result["dim_h_beta_t"] > 0, result["dim_h_alpha_st"] > 0))
+    assert support_kinds == {(True, True), (True, False), (False, True), (False, False)}
