@@ -42,7 +42,7 @@ from .kac_degree import (
 )
 from .models import BUILTIN_NAMES, resolve_builtin
 from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance, load_model, model_to_document
-from .spectral import spectral_grid, verify_theorem_5_3
+from .spectral import _theorem_5_3_sweep, spectral_grid
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
@@ -278,8 +278,8 @@ def _cmd_verify_theorem_5_3(args, report, m: QGModel) -> None:
     betas = _labels_arg(m, args.beta)
     for alpha in alphas:
         for beta in betas:
-            for s, t in spectral_grid(m, alpha, beta, probes=args.probes, tol=tol):
-                result = verify_theorem_5_3(m, alpha, beta, s, t, tol)
+            points = spectral_grid(m, alpha, beta, probes=args.probes, tol=tol)
+            for (s, t), result in zip(points, _theorem_5_3_sweep(m, alpha, beta, points, tol)):
                 row = {k: result[k] for k in _THEOREM_5_3_ROW}
                 report["results"].append(row)
                 if result["truncated"]:

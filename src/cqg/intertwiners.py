@@ -489,6 +489,14 @@ def verify_coassociativity(
             if beta in row:
                 triples.add((gamma, right, left))
 
+    fetched: dict[tuple[str, str, str], list[CGTensor] | None] = {}
+
+    def tensors_for(beta: str, gamma: str, target: str) -> list[CGTensor] | None:
+        key = (beta, gamma, target)
+        if key not in fetched:
+            fetched[key] = _cg_for_target(m, beta, gamma, target)
+        return fetched[key]
+
     def contributors(inner: tuple[str, str], outer_pair) -> list | None:
         """(outer, inner) tensor pairs over the components x of the inner pair, or None.
 
@@ -501,8 +509,8 @@ def verify_coassociativity(
         for x in m.fusion.components(*inner):
             if outer_pair(x) not in m.fusion:
                 return None
-            outer = _cg_for_target(m, *outer_pair(x), alpha)
-            inner_all = _cg_for_target(m, *inner, x)
+            outer = tensors_for(*outer_pair(x), alpha)
+            inner_all = tensors_for(*inner, x)
             if outer is None or inner_all is None:
                 return None
             out += [(t_out, t_in) for t_out in outer for t_in in inner_all]

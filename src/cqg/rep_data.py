@@ -206,6 +206,7 @@ class QGModel:
             raise ModelSchemaError(f"trivial label {self.trivial!r} is not an irrep of the model")
         object.__setattr__(self, "parameters", dict(self.parameters))
         object.__setattr__(self, "_by_label", by_label)
+        object.__setattr__(self, "_labels", tuple(by_label))
         object.__setattr__(self, "_store", {})
 
     def _memo(self, key: tuple, build: Callable[[], Any]) -> Any:
@@ -218,7 +219,7 @@ class QGModel:
     @property
     def labels(self) -> tuple[str, ...]:
         """All irrep labels in declaration order (the canonical iteration order)."""
-        return tuple(irr.label for irr in self.irreps)
+        return self._labels
 
     @property
     def is_truncated(self) -> bool:

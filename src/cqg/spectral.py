@@ -85,10 +85,14 @@ def spectral_grid(
     for t in distinct_eigenvalues(s_beta, tol):
         for product in distinct_eigenvalues(s_alpha, tol):
             points.append((product / t, t))
+    # keep a point unless an earlier kept one groups with it in both s and t
+    logs = np.array([(math.log(s), math.log(t)) for s, t in points]).reshape(-1, 2)
+    seen_logs = np.empty_like(logs)
     seen: list[tuple[float, float]] = []
-    for s, t in points:
-        if not any(tol.same_eigenvalue(s, s0) and tol.same_eigenvalue(t, t0) for s0, t0 in seen):
-            seen.append((s, t))
+    for point, log_point in zip(points, logs):
+        if not (np.abs(seen_logs[: len(seen)] - log_point) <= tol.eigen_group).all(axis=1).any():
+            seen_logs[len(seen)] = log_point
+            seen.append(point)
 
     def off_support(s: float, t: float) -> bool:
         return eigenspace_dim(s_beta, t, tol) == 0 or eigenspace_dim(s_alpha, s * t, tol) == 0
@@ -106,9 +110,129 @@ def spectral_grid(
     return ordered + probe_points
 
 
-def _projection_diag(s: RhoSpectrum, t: float, tol: Tolerance) -> np.ndarray:
-    """0/1 mask of the eigenvalues of s equal to t; its sum is dim H(t)."""
-    return np.array([float(tol.same_eigenvalue(lam, t)) for lam in s])
+_CHUNK = 64  # points per batched stack, so temporaries stay bounded on large grids
+
+
+def _log_rho(m: QGModel, label: str) -> np.ndarray:
+    """math.log of each rho eigenvalue of label, so a mask is one array comparison."""
+    return m._memo(("log-rho", label), lambda: np.array([math.log(lam) for lam in m.rho(label)]))
+
+
+def _theorem_5_3_plan(m: QGModel, alpha: str, beta: str) -> tuple:
+    """What both identities need for (alpha, beta) at any (s, t), built once per model.
+
+    One entry per equation, eq1 with gamma in the first slot, eq2 in the
+    second: the completeness certificate and the terms (gamma, d_gamma,
+    [(V*, V) ...]) over the gammas whose pair with beta contains alpha.
+    """
+
+    def plan_equation(first_is_gamma: bool) -> tuple[bool, list]:
+        complete, _ = _certify_complete(m, alpha, beta, not first_is_gamma, m.fusion)
+        terms = []
+        for gamma in m.labels:
+            pair = (gamma, beta) if first_is_gamma else (beta, gamma)
+            if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
+                continue
+            vs = [t.matrix for t in cg_set(m, *pair) if t.alpha == alpha]
+            terms.append((gamma, float(m.rho(gamma).trace()), [(v.conj().T, v) for v in vs]))
+        return complete, terms
+
+    key = ("theorem-5.3", alpha, beta)
+    return m._memo(key, lambda: (plan_equation(True), plan_equation(False)))
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Operator 2-norm of each matrix of a stack, as np.linalg.norm(x, 2) computes it."""
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0)
+
+
+def _theorem_5_3_sweep(
+    m: QGModel,
+    alpha: str,
+    beta: str,
+    points: list[tuple[float, float]],
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> list[dict]:
+    """verify_theorem_5_3 at every (s, t) of points, one result per point, in order.
+
+    The pair's summation terms are planned once; masks, left-hand sides and
+    norms are stacked over up to _CHUNK points at a time.
+    """
+    for s, t in points:
+        if not (s > 0 and t > 0 and 0 < s * t < math.inf):
+            raise PreconditionError("spectral parameters must be positive finite reals")
+    if not points:
+        return []
+    d_alpha = float(m.rho(alpha).trace())
+    n = m.dim(alpha)
+    log_beta = _log_rho(m, beta)
+    eq1, eq2 = _theorem_5_3_plan(m, alpha, beta)
+    bound = max(tol.abs, tol.rel)
+
+    def masks(logs: np.ndarray, values) -> np.ndarray:
+        # (points, dim) rows: which eigenvalues are grouped with each value
+        at = np.array([math.log(x) for x in values])
+        return np.abs(logs - at[:, None]) <= tol.eigen_group
+
+    results: list[dict] = []
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        mask_alpha = masks(_log_rho(m, alpha), [s * t for s, t in chunk])
+        mask_beta = masks(log_beta, [t for _, t in chunk])
+        mask_gamma = {
+            gamma: masks(_log_rho(m, gamma), [s for s, _ in chunk])
+            for gamma in dict.fromkeys(g for _, terms in (eq1, eq2) for g, _, _ in terms)
+        }
+        dim_beta = mask_beta.sum(axis=1)
+        dim_alpha = mask_alpha.sum(axis=1)
+        on_grid = (dim_beta > 0) & (dim_alpha > 0)
+        rhs_diag = mask_alpha.astype(float)[:, :, None] * np.eye(n)
+        ts = np.array([t for _, t in chunk])
+        # per equation, eq1 with gamma in the first slot: residuals, lhs and rhs norms per point
+        residual, lhs_norm, rhs_norm = [], [], []
+        for (_, terms), first_is_gamma, c in (
+            (eq1, True, d_alpha / ts * dim_beta),
+            (eq2, False, d_alpha * ts * dim_beta),
+        ):
+            lhs = np.zeros((len(chunk), n, n), dtype=complex)
+            for gamma, d_gamma, tensors in terms:
+                left, right = (mask_gamma[gamma], mask_beta)[:: 1 if first_is_gamma else -1]
+                weight = (left[:, :, None] & right[:, None, :]).reshape(len(chunk), -1, 1)
+                weight = weight.astype(float)
+                for vh, v in tensors:
+                    lhs += d_gamma * (vh @ (weight * v))
+            norm = _norms(lhs)
+            rhs = np.where(dim_alpha > 0, np.abs(c), 0.0)  # c P_alpha(st) has norm |c| or 0
+            res = norm.copy()  # off the grid the right-hand side is zero
+            if on_grid.any():
+                diff = _norms(lhs[on_grid] - c[on_grid, None, None] * rhs_diag[on_grid])
+                res[on_grid] = diff / np.maximum(rhs[on_grid], 1.0)
+            residual.append(res.tolist())
+            lhs_norm.append(norm.tolist())
+            rhs_norm.append(rhs.tolist())
+        truncated = not (eq1[0] and eq2[0])
+        for k, (s, t) in enumerate(chunk):
+            r1, r2 = residual[0][k], residual[1][k]
+            results.append(
+                {
+                    "alpha": alpha,
+                    "beta": beta,
+                    "s": float(s),
+                    "t": float(t),
+                    "on_grid": bool(on_grid[k]),
+                    "dim_h_beta_t": int(dim_beta[k]),
+                    "dim_h_alpha_st": int(dim_alpha[k]),
+                    "residual_eq1": r1,
+                    "residual_eq2": r2,
+                    "lhs_norm_eq1": lhs_norm[0][k],
+                    "rhs_norm_eq1": rhs_norm[0][k],
+                    "lhs_norm_eq2": lhs_norm[1][k],
+                    "rhs_norm_eq2": rhs_norm[1][k],
+                    "truncated": truncated,
+                    "pass": None if truncated else r1 <= bound and r2 <= bound,
+                }
+            )
+    return results
 
 
 def verify_theorem_5_3(
@@ -131,58 +255,4 @@ def verify_theorem_5_3(
     The sums need every gamma with nonzero multiplicity; when the fragment
     cannot certify that set complete the result is flagged truncated.
     """
-    if not (s > 0 and t > 0 and 0 < s * t < math.inf):
-        raise PreconditionError("spectral parameters must be positive finite reals")
-    s_alpha = m.rho(alpha)
-    mask_alpha = _projection_diag(s_alpha, s * t, tol)
-    mask_beta = _projection_diag(m.rho(beta), t, tol)
-    mask_gamma: dict[str, np.ndarray] = {}
-    d_alpha = float(s_alpha.trace())
-    dim_beta_t = int(mask_beta.sum())
-    dim_alpha_st = int(mask_alpha.sum())
-    on_grid = dim_beta_t > 0 and dim_alpha_st > 0
-
-    def equation(first_is_gamma: bool, c: float) -> tuple[float, float, float, bool]:
-        # (residual, lhs norm, rhs norm, complete) of the identity with rhs c P_alpha(st); eq1
-        # puts gamma in the first slot, eq2 in the second, over the pairs that contain alpha
-        complete, _ = _certify_complete(m, alpha, beta, not first_is_gamma, m.fusion)
-        lhs = np.zeros((len(s_alpha), len(s_alpha)), dtype=complex)
-        for gamma in m.labels:
-            pair = (gamma, beta) if first_is_gamma else (beta, gamma)
-            if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
-                continue
-            if gamma not in mask_gamma:
-                mask_gamma[gamma] = _projection_diag(m.rho(gamma), s, tol)
-            d_gamma = float(m.rho(gamma).trace())
-            masks = (mask_gamma[gamma], mask_beta)
-            weight = np.multiply.outer(*(masks if first_is_gamma else masks[::-1])).reshape(-1)
-            for v in (tensor.matrix for tensor in cg_set(m, *pair) if tensor.alpha == alpha):
-                lhs += d_gamma * (v.conj().T @ (weight[:, None] * v))
-        lhs_norm = float(np.linalg.norm(lhs, 2))
-        rhs_norm = abs(c) if dim_alpha_st else 0.0
-        if not on_grid:  # the right-hand side is zero
-            return lhs_norm, lhs_norm, rhs_norm, complete
-        diff = float(np.linalg.norm(lhs - c * np.diag(mask_alpha), 2))
-        return diff / max(rhs_norm, 1.0), lhs_norm, rhs_norm, complete
-
-    residual_eq1, lhs_norm_1, rhs_norm_1, complete1 = equation(True, d_alpha / t * dim_beta_t)
-    residual_eq2, lhs_norm_2, rhs_norm_2, complete2 = equation(False, d_alpha * t * dim_beta_t)
-    truncated = not (complete1 and complete2)
-    bound = max(tol.abs, tol.rel)
-    return {
-        "alpha": alpha,
-        "beta": beta,
-        "s": float(s),
-        "t": float(t),
-        "on_grid": on_grid,
-        "dim_h_beta_t": dim_beta_t,
-        "dim_h_alpha_st": dim_alpha_st,
-        "residual_eq1": residual_eq1,
-        "residual_eq2": residual_eq2,
-        "lhs_norm_eq1": lhs_norm_1,
-        "rhs_norm_eq1": rhs_norm_1,
-        "lhs_norm_eq2": lhs_norm_2,
-        "rhs_norm_eq2": rhs_norm_2,
-        "truncated": truncated,
-        "pass": None if truncated else residual_eq1 <= bound and residual_eq2 <= bound,
-    }
+    return _theorem_5_3_sweep(m, alpha, beta, [(s, t)], tol)[0]

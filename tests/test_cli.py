@@ -12,8 +12,10 @@ import sys
 
 import pytest
 
-from cqg.cli import main
-from cqg.rep_data import model_to_document
+from cqg import resolve_builtin
+from cqg.cli import _round12, main
+from cqg.rep_data import Tolerance, model_to_document
+from cqg.spectral import spectral_grid, verify_theorem_5_3
 
 REPORT_KEYS = ["command", "model", "parameters", "results", "violations", "truncations"]
 
@@ -80,6 +82,34 @@ class TestExitCodeZero:
         assert report["results"]
         # pairs near the truncation level cannot be decided and land in truncations
         assert all("alpha" in row for row in report["truncations"])
+
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-16"])
+    def test_theorem_sweep_rows_match_per_point_calls(self, capsys, tol):
+        # one sweep per pair in the CLI, the public one-point verifier here
+        code, report = run_json(
+            capsys, "verify", "theorem-5.3", "--model", "su_q_2", "--q", "2",
+            "--max-level", "5", "--tol", tol,
+        )
+        m = resolve_builtin("su_q_2", q=2.0, max_level=5)
+        tolerance = Tolerance(abs=float(tol), rel=float(tol), eigen_group=float(tol))
+        rows, truncations, violations = [], [], []
+        for alpha in m.labels:
+            for beta in m.labels:
+                for s, t in spectral_grid(m, alpha, beta, probes=2, tol=tolerance):
+                    result = verify_theorem_5_3(m, alpha, beta, s, t, tolerance)
+                    row = {key: result[key] for key in (
+                        "alpha", "beta", "s", "t", "on_grid", "residual_eq1", "residual_eq2",
+                        "truncated",
+                    )}
+                    rows.append(row)
+                    if result["truncated"]:
+                        truncations.append({"alpha": alpha, "beta": beta, "s": s, "t": t})
+                    elif result["pass"] is False:
+                        violations.append(dict(row, check="theorem-5.3"))
+        assert code == (1 if violations else 0)
+        assert report["results"] == _round12(rows)
+        assert report["truncations"] == _round12(truncations)
+        assert report["violations"] == _round12(violations)
 
     def test_kac_detection(self, capsys):
         code, report = run_json(capsys, "kac", "--model", "builtin:s3")

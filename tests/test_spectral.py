@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqg import resolve_builtin
+from cqg import resolve_builtin, spectral
 from cqg.errors import PreconditionError
 from cqg.rep_data import DEFAULT_TOLERANCE, RhoSpectrum, Tolerance, normalize_rho
 from cqg.spectral import (
+    _theorem_5_3_plan,
+    _theorem_5_3_sweep,
     distinct_eigenvalues,
     eigenspace_dim,
     spectral_grid,
@@ -193,3 +195,72 @@ def test_theorem_5_3_equals_the_dense_reference(name, params):
                 assert list(result.items()) == list(want.items()), (alpha, beta, s, t)
                 support_kinds.add((result["dim_h_beta_t"] > 0, result["dim_h_alpha_st"] > 0))
     assert support_kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _grid_and_off_support(m, alpha, beta):
+    # the grid and its probes, then points with only beta, or only alpha, on support
+    points = spectral_grid(m, alpha, beta, probes=2)
+    points += [(7.0, t) for t in distinct_eigenvalues(m.rho(beta))]
+    points += [(lam / 7.0, 7.0) for lam in distinct_eigenvalues(m.rho(alpha))]
+    return points
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("su_q_2", {"q": 0.5, "max_level": 10}),
+        ("su_q_2", {"q": 2.0, "max_level": 6}),
+        ("su_q_2", {"q": 1.0, "max_level": 4}),
+        ("s3", {}),
+        ("cyclic5", {}),
+        ("free_orthogonal", {}),
+        ("free_orthogonal", {"f_diag": [1.0, 2.0, 3.0]}),
+    ],
+)
+def test_sweep_equals_the_per_point_verifier(name, params):
+    # the stacked, chunked sweep returns exactly what one-point calls return, as plain Python
+    m = resolve_builtin(name, **params)
+    longest = 0
+    for alpha in m.labels:
+        for beta in m.labels:
+            points = _grid_and_off_support(m, alpha, beta)
+            longest = max(longest, len(points))
+            swept = _theorem_5_3_sweep(m, alpha, beta, points, DEFAULT_TOLERANCE)
+            assert len(swept) == len(points)
+            for (s, t), result in zip(points, swept):
+                want = verify_theorem_5_3(m, alpha, beta, s, t, DEFAULT_TOLERANCE)
+                assert list(result.items()) == list(want.items()), (alpha, beta, s, t)
+                assert {type(v) for v in result.values()} <= {str, int, float, bool, type(None)}
+    if params.get("max_level") == 10:
+        assert longest > 2 * spectral._CHUNK  # the (10, 10) pair spans three chunks
+
+
+def test_sweep_fetches_each_plan_entry_once(monkeypatch):
+    calls = []
+    real_cg_set = spectral.cg_set
+
+    def counting_cg_set(m, *pair, **kwargs):
+        calls.append(pair)
+        return real_cg_set(m, *pair, **kwargs)
+
+    monkeypatch.setattr(spectral, "cg_set", counting_cg_set)
+    m = resolve_builtin("su_q_2", q=0.5, max_level=6)
+    entries = 0
+    for alpha in m.labels:
+        for beta in m.labels:
+            points = spectral_grid(m, alpha, beta, probes=2)
+            _theorem_5_3_sweep(m, alpha, beta, points, DEFAULT_TOLERANCE)
+            _theorem_5_3_sweep(m, alpha, beta, points[:1], DEFAULT_TOLERANCE)
+            entries += sum(len(terms) for _, terms in _theorem_5_3_plan(m, alpha, beta))
+    assert 0 < len(calls) <= entries
+
+
+@pytest.mark.parametrize(
+    "bad", [(-1.0, 2.0), (1.0, 0.0), (float("nan"), 1.0), (1.0, float("inf")), (1e200, 1e200),
+            (1e-200, 1e-200)]
+)
+def test_sweep_rejects_a_bad_point(suq2_half, bad):
+    with pytest.raises(PreconditionError):
+        _theorem_5_3_sweep(suq2_half, "1", "1", [(0.5, 2.0), bad], TIGHT)
+    with pytest.raises(PreconditionError):
+        verify_theorem_5_3(suq2_half, "1", "1", *bad, TIGHT)
