@@ -301,9 +301,10 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
         if len(conj.rho) != len(expected) or not all(
             tol.close(x, y) for x, y in zip(conj.rho, expected)
         ):
-            worst = max(
-                (abs(x - y) for x, y in zip(conj.rho, expected)),
-                default=float("inf"),
+            worst = (
+                max(abs(x - y) for x, y in zip(conj.rho, expected))
+                if len(conj.rho) == len(expected)
+                else float("inf")
             )
             report.add(
                 "conjugate-spectrum",
@@ -328,6 +329,8 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
             f"trivial irrep must be self-conjugate; conjugate is {triv.conjugate!r}",
         )
 
+    dims = {irr.label: irr.dim for irr in m.irreps}
+    traces = {irr.label: irr.rho.trace() for irr in m.irreps}
     for left, right in m.fusion.pairs():
         if left not in m or right not in m:
             report.add(
@@ -347,8 +350,8 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
                 f"fusion pair ({left!r}, {right!r}) has components outside the model: {unknown}",
             )
             continue
-        dim_sum = sum(mult * m.dim(label) for label, mult in row.items())
-        dim_prod = m.dim(left) * m.dim(right)
+        dim_sum = sum(mult * dims[label] for label, mult in row.items())
+        dim_prod = dims[left] * dims[right]
         if dim_sum != dim_prod:
             report.add(
                 "dimension-count",
@@ -356,8 +359,8 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
                 float(abs(dim_sum - dim_prod)),
                 f"fusion {left!r} x {right!r}: component dims sum to {dim_sum}, product is {dim_prod}",
             )
-        d1_sum = sum(mult * m.rho(label).trace() for label, mult in row.items())
-        d1_prod = m.rho(left).trace() * m.rho(right).trace()
+        d1_sum = sum(mult * traces[label] for label, mult in row.items())
+        d1_prod = traces[left] * traces[right]
         if not tol.close(d1_sum, d1_prod):
             report.add(
                 "quantum-dimension-count",
@@ -398,31 +401,65 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
 def _frobenius_mismatches(m: QGModel) -> Iterator[tuple[str, str, str, int, int, str]]:
     """Multiplicity reciprocity on every triple whose needed pairs are all ingested.
 
-    For each ingested pair (beta, gamma) and every label alpha, the
-    multiplicity m1 of alpha in beta x gamma is compared with the two
-    reciprocal readings, m(beta, alpha x conj(gamma)) and
-    m(gamma, conj(beta) x alpha), whenever their pairs are ingested too.
-    Yields (alpha, beta, gamma, m1, reciprocal multiplicity, message) per
-    mismatch; pairs that reference labels outside the model are skipped.
+    For each ingested pair (beta, gamma) whose labels and components are all
+    in the model, and every label alpha, the multiplicity m1 of alpha in
+    beta x gamma is compared with the two reciprocal readings,
+    m(beta, alpha x conj(gamma)) and m(gamma, conj(beta) x alpha), whenever
+    their pairs are ingested too.  Only nonzero fusion entries are visited:
+    a mismatch with m1 > 0 is an entry of the row of beta x gamma, read
+    against both reciprocals; one with m1 = 0 has a nonzero reciprocal, an
+    entry of some row (left, right), whose triples are found through the
+    preimage of conjugation (not conjugation itself, which need not be an
+    involution on an invalid model).  Yields (alpha, beta, gamma, m1,
+    reciprocal multiplicity, message) per mismatch, in ingested-pair order,
+    then label declaration order, then the first reading before the second.
     """
-    # plain copies, made once: the loop below reads each row once per label
-    rows = {pair: dict(m.fusion.components(*pair)) for pair in m.fusion.pairs()}
-    for (beta, gamma), row in rows.items():
-        if beta not in m or gamma not in m or any(label not in m for label in row):
-            continue
-        gamma_bar = m.conjugate(gamma)
-        beta_bar = m.conjugate(beta)
-        for alpha in m.labels:
-            m1 = row.get(alpha, 0)
-            for label, left, right in ((beta, alpha, gamma_bar), (gamma, beta_bar, alpha)):
-                if (left, right) not in rows:
-                    continue
-                m2 = rows[left, right].get(label, 0)
-                if m1 != m2:
-                    yield alpha, beta, gamma, m1, m2, (
-                        f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
-                        f"m({label!r}, {left!r} x {right!r}) = {m2}"
-                    )
+    pairs = m.fusion.pairs()
+    rows = {pair: m.fusion.components(*pair) for pair in pairs}
+    order = {label: i for i, label in enumerate(m.labels)}
+    checked = {
+        pair: i
+        for i, pair in enumerate(pairs)
+        if pair[0] in order and pair[1] in order and all(label in order for label in rows[pair])
+    }
+    preimage: dict[str, list[str]] = {}
+    for label in m.labels:
+        preimage.setdefault(m.conjugate(label), []).append(label)
+    found: list[tuple[tuple[int, int, int], tuple[str, str, str, int, int, str]]] = []
+
+    def note(reading, alpha, beta, gamma, m1, label, left, right, m2) -> None:
+        message = (
+            f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
+            f"m({label!r}, {left!r} x {right!r}) = {m2}"
+        )
+        key = (checked[beta, gamma], order[alpha], reading)
+        found.append((key, (alpha, beta, gamma, m1, m2, message)))
+
+    # m1 > 0: each entry of a checked row against both of its reciprocal readings
+    for beta, gamma in checked:
+        beta_bar, gamma_bar = m.conjugate(beta), m.conjugate(gamma)
+        for alpha, m1 in rows[beta, gamma].items():
+            readings = ((0, beta, alpha, gamma_bar), (1, gamma, beta_bar, alpha))
+            for reading, label, left, right in readings:
+                other = rows.get((left, right))
+                if other is not None and other.get(label, 0) != m1:
+                    note(reading, alpha, beta, gamma, m1, label, left, right, other.get(label, 0))
+    # m1 = 0: each entry m2 of a row (left, right) read as the reciprocal of the
+    # triples it answers, (left, label, gamma) with conj(gamma) = right and
+    # (right, beta, label) with conj(beta) = left
+    for (left, right), row in rows.items():
+        gammas = preimage.get(right, ()) if left in order else ()
+        betas = preimage.get(left, ()) if right in order else ()
+        for label, m2 in row.items():
+            for gamma in gammas:
+                if (label, gamma) in checked and left not in rows[label, gamma]:
+                    note(0, left, label, gamma, 0, label, left, right, m2)
+            for beta in betas:
+                if (beta, label) in checked and right not in rows[beta, label]:
+                    note(1, right, beta, label, 0, label, left, right, m2)
+    found.sort(key=lambda item: item[0])
+    for _, mismatch in found:
+        yield mismatch
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .intertwiners import _certify_complete, cg_set
+from .intertwiners import CGTensor, _certify_complete, cg_set
 from .rep_data import DEFAULT_TOLERANCE, QGModel, RhoSpectrum, Tolerance
 
 
@@ -118,6 +118,12 @@ def _log_rho(m: QGModel, label: str) -> np.ndarray:
     return m._memo(("log-rho", label), lambda: np.array([math.log(lam) for lam in m.rho(label)]))
 
 
+def _adjoint(m: QGModel, t: CGTensor) -> np.ndarray:
+    """V* of a stored CG tensor, held once per model however many plans use it."""
+    key = ("cg-adjoint", t.beta, t.gamma, t.alpha, t.copy_index)
+    return m._memo(key, lambda: t.matrix.conj().T)
+
+
 def _theorem_5_3_plan(m: QGModel, alpha: str, beta: str) -> tuple:
     """What both identities need for (alpha, beta) at any (s, t), built once per model.
 
@@ -133,8 +139,8 @@ def _theorem_5_3_plan(m: QGModel, alpha: str, beta: str) -> tuple:
             pair = (gamma, beta) if first_is_gamma else (beta, gamma)
             if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
                 continue
-            vs = [t.matrix for t in cg_set(m, *pair) if t.alpha == alpha]
-            terms.append((gamma, float(m.rho(gamma).trace()), [(v.conj().T, v) for v in vs]))
+            vs = [(_adjoint(m, t), t.matrix) for t in cg_set(m, *pair) if t.alpha == alpha]
+            terms.append((gamma, float(m.rho(gamma).trace()), vs))
         return complete, terms
 
     key = ("theorem-5.3", alpha, beta)

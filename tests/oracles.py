@@ -241,3 +241,36 @@ def theorem_5_3_reference(m, alpha: str, beta: str, s: float, t: float, tol) -> 
         out["residual_eq1"] <= bound and out["residual_eq2"] <= bound if complete else None
     )
     return out
+
+
+def frobenius_mismatches_reference(m) -> list[tuple[str, str, str, int, int, str]]:
+    """The dense Frobenius walk: every (ingested pair, label), both reciprocal readings.
+
+    For each ingested pair (beta, gamma) and every label alpha, the
+    multiplicity m1 of alpha in beta x gamma is compared with the two
+    reciprocal readings, m(beta, alpha x conj(gamma)) and
+    m(gamma, conj(beta) x alpha), whenever their pairs are ingested too.
+    Returns (alpha, beta, gamma, m1, reciprocal multiplicity, message) per
+    mismatch; pairs that reference labels outside the model are skipped.
+    """
+    out = []
+    # plain copies, made once: the loop below reads each row once per label
+    rows = {pair: dict(m.fusion.components(*pair)) for pair in m.fusion.pairs()}
+    for (beta, gamma), row in rows.items():
+        if beta not in m or gamma not in m or any(label not in m for label in row):
+            continue
+        gamma_bar = m.conjugate(gamma)
+        beta_bar = m.conjugate(beta)
+        for alpha in m.labels:
+            m1 = row.get(alpha, 0)
+            for label, left, right in ((beta, alpha, gamma_bar), (gamma, beta_bar, alpha)):
+                if (left, right) not in rows:
+                    continue
+                m2 = rows[left, right].get(label, 0)
+                if m1 != m2:
+                    message = (
+                        f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
+                        f"m({label!r}, {left!r} x {right!r}) = {m2}"
+                    )
+                    out.append((alpha, beta, gamma, m1, m2, message))
+    return out

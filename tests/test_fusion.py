@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from cqg.fusion import (
     p_n,
     tensor_power_decompose,
 )
-from cqg.rep_data import FusionTable, validate_model
+from cqg.models import resolve_builtin
+from cqg.rep_data import FusionTable, _frobenius_mismatches, validate_model
 
 from . import oracles
 
@@ -120,6 +122,66 @@ def test_frobenius_check_and_validation_report_the_same_mismatches(s3_dual):
     assert [v["message"] for v in violations] == [i.message for i in issues]
     assert violations[0]["message"] == "m('std', 'sgn' x 'std') = 1 but m('sgn', 'std' x 'std') = 0"
     assert {"sgn"} <= {v["alpha"] for v in violations}
+
+
+def _perturbed(m, rng: random.Random):
+    """m with one to four planted faults in its fusion table or its conjugation."""
+    rows = {pair: dict(m.fusion.components(*pair)) for pair in m.fusion.pairs()}
+    irreps = list(m.irreps)
+    labels = list(m.labels)
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("raise", "remove", "drop", "ghost-component", "ghost-pair", "conjugate"))
+        pair = rng.choice(list(rows))
+        if kind == "raise":
+            label = rng.choice(labels)
+            rows[pair][label] = rows[pair].get(label, 0) + rng.randint(1, 2)
+        elif kind == "remove" and rows[pair]:
+            del rows[pair][rng.choice(list(rows[pair]))]
+        elif kind == "drop":
+            del rows[pair]
+        elif kind == "ghost-component":
+            rows[pair]["ghost"] = 1
+        elif kind == "ghost-pair":
+            label = rng.choice(labels)
+            ghost_pair = rng.choice(((label, "ghost"), ("ghost", label)))
+            rows[ghost_pair] = {rng.choice(labels + ["ghost"]): rng.randint(1, 2)}
+        elif kind == "conjugate":
+            k = rng.randrange(len(irreps))
+            irreps[k] = dataclasses.replace(irreps[k], conjugate=rng.choice(labels + ["ghost"]))
+    return dataclasses.replace(m, irreps=tuple(irreps), fusion=FusionTable(rows))
+
+
+def test_frobenius_walk_equals_the_dense_reference():
+    bases = [resolve_builtin("su_q_2", q=0.5, max_level=n) for n in range(3, 9)]
+    bases += [resolve_builtin(name) for name in ("s3", "cyclic4", "cyclic5")]
+    rng = random.Random(20171)
+    seen = set()
+    for base in bases:
+        for _ in range(40):
+            m = _perturbed(base, rng)
+            expected = oracles.frobenius_mismatches_reference(m)
+            assert list(_frobenius_mismatches(m)) == expected
+            triples = [mismatch[:3] for mismatch in expected]
+            messages = [mismatch[5] for mismatch in expected]
+            violations = frobenius_check(m)
+            assert [(v["alpha"], v["beta"], v["gamma"]) for v in violations] == triples
+            assert [v["message"] for v in violations] == messages
+            issues = [i for i in validate_model(m).issues if i.invariant == "frobenius"]
+            assert [i.labels for i in issues] == triples
+            assert [i.message for i in issues] == messages
+            involutive = all(
+                m.conjugate(label) in m and m.conjugate(m.conjugate(label)) == label
+                for label in m.labels
+            )
+            seen.update((m1 == 0, involutive) for _, _, _, m1, _, _ in expected)
+    # both kinds of mismatch occur, on involutive and on non-involutive conjugations
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_frobenius_walk_is_clean_on_a_deep_fragment():
+    m = resolve_builtin("su_q_2", q=0.5, max_level=120)
+    assert list(_frobenius_mismatches(m)) == []
+    assert oracles.frobenius_mismatches_reference(m) == []
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))

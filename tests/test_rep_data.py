@@ -16,6 +16,8 @@ from cqg.models import resolve_builtin
 from cqg.rep_data import (
     DEFAULT_TOLERANCE,
     FusionTable,
+    Irrep,
+    QGModel,
     RhoSpectrum,
     Tolerance,
     load_model,
@@ -256,3 +258,22 @@ def test_validate_flags_broken_conjugation(suq2_half):
 def test_validate_report_lists_issues(s3_dual):
     report = validate_model(s3_dual)
     assert report.ok and report.issues == []
+
+
+def test_conjugate_spectrum_of_another_dim_has_infinite_residual():
+    # a (dim 2) and b (dim 1) claim each other: the spectra cannot be inverse multisets
+    m = QGModel(
+        name="mismatched-conjugates",
+        trivial="1",
+        irreps=(
+            Irrep("1", 1, RhoSpectrum((1.0,)), "1"),
+            Irrep("a", 2, RhoSpectrum((1.0, 1.0)), "b"),
+            Irrep("b", 1, RhoSpectrum((1.0,)), "a"),
+        ),
+        fusion=FusionTable({}),
+    )
+    issues = [i for i in validate_model(m).issues if i.invariant == "conjugate-spectrum"]
+    assert [(i.labels, i.residual) for i in issues] == [
+        (("a", "b"), math.inf),
+        (("b", "a"), math.inf),
+    ]
