@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,34 +79,71 @@ def n_G(m: QGModel) -> int:
     return max(m.dim(label) for label in m.labels)
 
 
-def _standard_polynomial_blocks(mats: np.ndarray) -> np.ndarray:
-    """Alternating sum over all orderings of stacked matrices, by subset recursion.
+_SLAB = 20000  # tuples per evaluated slab of an exhaustive unit grid
+_MAX_PRODUCTS = 10**7
 
-    ``mats`` has shape (r, ..., n, n).  Splitting on the first factor gives
-    M[A] = sum over i in A of (-1)^pos(i) x_i M[A minus i], costing r 2^(r-1)
-    products instead of r! while staying exact for integer inputs.  Subsets
-    are built by size, and only the layer below the current one is kept.
+
+def _kernel_products(r: int) -> int:
+    """Matrix products of one ``_standard_polynomial_blocks`` call at degree r.
+
+    Layer k of the subset recursion, k <= h = ceil(r/2), costs C(r, k) k
+    products and the final pairing C(r, h).
     """
-    r = mats.shape[0]
-    n = mats.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=mats.dtype), mats.shape[1:]).copy()
-    table: dict[int, np.ndarray] = {0: eye}
-    by_size = sorted(range(1, 1 << r), key=int.bit_count)
-    for _, layer in itertools.groupby(by_size, key=int.bit_count):
+    h = (r + 1) // 2
+    return sum(math.comb(r, k) * k for k in range(1, h + 1)) + math.comb(r, h)
+
+
+def _standard_polynomial_blocks(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Alternating sum over all orderings of r broadcastable (..., n, n) stacks.
+
+    M[A], the alternating sum over the orderings of the factors indexed by A,
+    splits on its first factor: M[A] = sum over i in A of (-1)^pos(i) x_i
+    M[A minus i].  Subsets are built by size up to h = ceil(r/2) only, keeping
+    the layer below the current one; the two halves then pair as
+    s_r = sum over |S| = h of eps(S) M[S] M[complement of S], where
+    eps(S) = (-1)^(sum S - h(h-1)/2) is the sign of the shuffle that moves S
+    first.  That is ``_kernel_products(r)`` products instead of r!, and every
+    ordering is still summed, so integer inputs give exact results.  M[A]
+    broadcasts over the batch axes of its own factors only, so factors that
+    vary along different axes share each partial product across the grid.
+    """
+    dtype = np.result_type(*mats)
+    xs = [np.asarray(x, dtype=dtype) for x in mats]
+    r = len(xs)
+    h = (r + 1) // 2
+    below: dict[int, np.ndarray] = {}
+    table = {1 << i: x for i, x in enumerate(xs)}
+    for size in range(2, h + 1):
         below, table = table, {}
-        for mask in layer:
-            acc = None
-            position = 0
-            for i in range(r):
-                if not mask >> i & 1:
-                    continue
-                term = mats[i] @ below[mask ^ (1 << i)]
+        for subset in itertools.combinations(range(r), size):
+            mask = 0
+            for i in subset:
+                mask |= 1 << i
+            acc = xs[subset[0]] @ below[mask ^ (1 << subset[0])]
+            for position in range(1, size):
+                i = subset[position]
+                term = xs[i] @ below[mask ^ (1 << i)]
                 if position % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-                position += 1
+                    acc -= term
+                else:
+                    acc += term
             table[mask] = acc
-    return table[(1 << r) - 1]
+    rest = table if r % 2 == 0 else below
+    full = (1 << r) - 1
+    shift = h * (h - 1) // 2
+    total = None
+    for subset in itertools.combinations(range(r), h):
+        mask = 0
+        for i in subset:
+            mask |= 1 << i
+        term = table[mask] @ rest[full ^ mask]
+        if total is None:
+            total = term
+        elif (sum(subset) - shift) % 2:
+            total -= term
+        else:
+            total += term
+    return total
 
 
 def standard_polynomial(xs: Sequence[C00Element]) -> C00Element:
@@ -122,8 +159,7 @@ def standard_polynomial(xs: Sequence[C00Element]) -> C00Element:
         common &= set(x.support)
     blocks = {}
     for label in sorted(common):
-        stack = np.stack([x.block(label) for x in xs])
-        blocks[label] = _standard_polynomial_blocks(stack)
+        blocks[label] = _standard_polynomial_blocks([x.block(label) for x in xs])
     return C00Element(blocks)
 
 
@@ -140,9 +176,9 @@ def bounded_degree_identity_check(
     different blocks are structurally zero (blockwise products vanish), so
     only single-block tuples are evaluated numerically, though all count
     toward the tuple total.  Random strategy: ``trials`` tuples of elements
-    with integer entries in [-3, 3] drawn from ``seed``; all intermediate
-    values stay far below 2^53, so float arithmetic is exact and any nonzero
-    block is a genuine witness.
+    with integer entries in [-3, 3] drawn from ``seed``, multiplied as int64;
+    that arithmetic is exact modulo 2^64, and the true value of a vanishing
+    polynomial is 0, so any nonzero block is a genuine witness.
     """
     if r < 2:
         raise PreconditionError("degree r must be >= 2")
@@ -154,8 +190,6 @@ def bounded_degree_identity_check(
             raise PreconditionError(
                 f"exhaustive check needs {total} tuples, above the 10^6 bound"
             )
-        counts = {"tuples_checked": total}
-        witness = _first_unit_witness(m, dims, r)
     elif strategy == "random":
         half = (r + 1) // 2  # the subset table peaks at its two widest layers
         widest = math.comb(r, half) + math.comb(r, half - 1)
@@ -164,6 +198,17 @@ def bounded_degree_identity_check(
             raise PreconditionError(
                 f"random check needs {entries} table entries at once, above the 10^8 bound"
             )
+    else:
+        raise PreconditionError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'random'")
+    products = _kernel_products(r)
+    if products > _MAX_PRODUCTS:
+        raise PreconditionError(
+            f"degree {r} needs {products} matrix products per block, above the 10^7 bound"
+        )
+    if strategy == "exhaustive":
+        counts = {"tuples_checked": total}
+        witness = _first_unit_witness(m, dims, r)
+    else:
         counts = {"trials": trials, "seed": int(seed)}
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         draws = {
@@ -172,9 +217,9 @@ def bounded_degree_identity_check(
         }
         first_bad: int | None = None
         for label in m.labels:
-            mats = np.transpose(draws[label], (1, 0, 2, 3)).astype(np.int64)
-            values = _standard_polynomial_blocks(mats)
-            nonzero = np.flatnonzero(np.abs(values).reshape(trials, -1).max(axis=1))
+            mats = np.ascontiguousarray(np.moveaxis(draws[label], 1, 0), dtype=np.int64)
+            values = _standard_polynomial_blocks(list(mats))
+            nonzero = np.flatnonzero(values.reshape(trials, -1).any(axis=1))
             if nonzero.size:
                 trial = int(nonzero[0])
                 first_bad = trial if first_bad is None else min(first_bad, trial)
@@ -185,8 +230,6 @@ def bounded_degree_identity_check(
                 for pos in range(r)
             ]
             witness = {"kind": "elements", "trial": first_bad, "tuple": elements}
-    else:
-        raise PreconditionError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'random'")
     return {
         "verdict": "holds_on_samples" if witness is None else "violated",
         "r": r,
@@ -196,24 +239,37 @@ def bounded_degree_identity_check(
     }
 
 
+def _unit_grid_slabs(n: int, r: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Standard-polynomial values of every r-tuple of n x n matrix units, in slabs.
+
+    Yields (offset, values): values reshaped to (-1, n, n) are the tuples from
+    flat index ``offset`` on, in ``itertools.product`` order with unit
+    u = (u // n, u % n).  Position p takes its units along grid axis p, so a
+    partial product over positions A is built once per choice of A's units.
+    A grid above ``_SLAB`` tuples is cut into slabs over the leading position.
+    """
+    units = n * n
+    basis = np.eye(units).reshape(units, n, n)
+    if units == 1:
+        yield 0, _standard_polynomial_blocks([basis[0]] * r)
+        return
+    axes = [basis.reshape((1,) * p + (units,) + (1,) * (r - 1 - p) + (n, n)) for p in range(r)]
+    per_lead = units ** (r - 1)
+    lead = max(1, _SLAB // per_lead)
+    for start in range(0, units, lead):
+        slab = [axes[0][start : start + lead]] + axes[1:]
+        yield start * per_lead, _standard_polynomial_blocks(slab)
+
+
 def _first_unit_witness(m: QGModel, dims: dict[str, int], r: int) -> dict | None:
     """The first single-block r-tuple of matrix units with a nonzero standard polynomial."""
     for label in m.labels:
         n = dims[label]
-        units = [(i, j) for i in range(n) for j in range(n)]
-        tuples = list(itertools.product(range(len(units)), repeat=r))
-        basis = np.zeros((len(units), n, n))
-        for u, (i, j) in enumerate(units):
-            basis[u, i, j] = 1.0
-        chunk = 20000
-        for start in range(0, len(tuples), chunk):
-            batch = tuples[start : start + chunk]
-            mats = np.stack([basis[[tup[pos] for tup in batch]] for pos in range(r)])
-            values = _standard_polynomial_blocks(mats)
-            nonzero = np.flatnonzero(np.abs(values).reshape(len(batch), -1).max(axis=1))
+        for offset, values in _unit_grid_slabs(n, r):
+            nonzero = np.flatnonzero(values.reshape(-1, n * n).any(axis=1))
             if nonzero.size:
-                tup = batch[int(nonzero[0])]
-                witness = [[label, units[u][0], units[u][1]] for u in tup]
+                tup = np.unravel_index(offset + int(nonzero[0]), (n * n,) * r)
+                witness = [[label, int(u) // n, int(u) % n] for u in tup]
                 return {"kind": "matrix_units", "tuple": witness}
     return None
 

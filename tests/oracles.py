@@ -87,6 +87,65 @@ def brute_standard_polynomial(mats) -> np.ndarray:
     return acc
 
 
+def subset_recursion_standard_polynomial(mats: np.ndarray) -> np.ndarray:
+    """Alternating sum over all orderings of stacked matrices, by the full subset recursion.
+
+    ``mats`` has shape (r, ..., n, n).  Splitting on the first factor gives
+    M[A] = sum over i in A of (-1)^pos(i) x_i M[A minus i], for every subset
+    A up to the whole index set: r 2^(r-1) products, exact for integer inputs.
+    """
+    r = mats.shape[0]
+    n = mats.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=mats.dtype), mats.shape[1:]).copy()
+    table: dict[int, np.ndarray] = {0: eye}
+    by_size = sorted(range(1, 1 << r), key=int.bit_count)
+    for _, layer in itertools.groupby(by_size, key=int.bit_count):
+        below, table = table, {}
+        for mask in layer:
+            acc = None
+            position = 0
+            for i in range(r):
+                if not mask >> i & 1:
+                    continue
+                term = mats[i] @ below[mask ^ (1 << i)]
+                if position % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+                position += 1
+            table[mask] = acc
+    return table[(1 << r) - 1]
+
+
+def chunked_unit_grid(n: int, r: int, chunk: int = 20000):
+    """Yield (tuples, values) over every r-tuple of n x n matrix units.
+
+    Tuples run in ``itertools.product`` order over units u = (u // n, u % n);
+    each chunk is gathered into one (r, chunk, n, n) stack and evaluated by
+    ``subset_recursion_standard_polynomial``.
+    """
+    units = n * n
+    tuples = list(itertools.product(range(units), repeat=r))
+    basis = np.zeros((units, n, n))
+    for u in range(units):
+        basis[u, u // n, u % n] = 1.0
+    for start in range(0, len(tuples), chunk):
+        batch = tuples[start : start + chunk]
+        mats = np.stack([basis[[tup[pos] for tup in batch]] for pos in range(r)])
+        yield batch, subset_recursion_standard_polynomial(mats)
+
+
+def first_unit_witness(m, r: int) -> dict | None:
+    """The first single-block r-tuple of matrix units with a nonzero standard polynomial."""
+    for label in m.labels:
+        n = m.dim(label)
+        for batch, values in chunked_unit_grid(n, r):
+            nonzero = np.flatnonzero(np.abs(values).reshape(len(batch), -1).max(axis=1))
+            if nonzero.size:
+                tup = batch[int(nonzero[0])]
+                return {"kind": "matrix_units", "tuple": [[label, u // n, u % n] for u in tup]}
+    return None
+
+
 def delta_hat_reference(tensors, alpha: str, a: int, a_prime: int) -> dict:
     """Coproduct block of a matrix unit, by the defining quadruple loop.
 

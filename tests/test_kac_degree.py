@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqg import kac_degree
 from cqg.errors import ModelConsistencyError, PreconditionError, TruncationError
 from cqg.intertwiners import C00Element
 from cqg.kac_degree import (
     SequenceStep,
+    _kernel_products,
+    _standard_polynomial_blocks,
+    _unit_grid_slabs,
     bounded_degree_identity_check,
     corollary_6_5_probe,
     is_kac,
@@ -116,6 +120,58 @@ class TestStandardPolynomial:
         )
 
 
+class TestKernelAgainstSubsetRecursion:
+    """The meet-in-the-middle kernel against the full subset recursion, bit for bit."""
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_random_int64_stacks(self, r, n):
+        rng = np.random.default_rng(100 * r + n)
+        for high in (4, 2**40):  # 2^40 entries overflow: both sides are exact modulo 2^64
+            stack = rng.integers(-high, high, size=(r, 6, n, n), dtype=np.int64)
+            expected = oracles.subset_recursion_standard_polynomial(stack)
+            got = _standard_polynomial_blocks(list(stack))
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    def _grid(self, n, r):
+        offsets, slabs = [], []
+        for offset, values in _unit_grid_slabs(n, r):
+            offsets.append(offset)
+            slabs.append(values.reshape(-1, n, n))
+        assert offsets == list(itertools.accumulate([0] + [len(v) for v in slabs[:-1]]))
+        return np.concatenate(slabs)
+
+    @pytest.mark.parametrize("slab", [None, 50])  # 50 cuts every grid into several slabs
+    @pytest.mark.parametrize(
+        ("model", "label", "rs"),
+        [(("s3",), "std", range(2, 6)), (("su_q_2", 0.5, 2), "2", range(2, 5))],
+    )
+    def test_exhaustive_value_grid(self, monkeypatch, model, label, rs, slab):
+        if slab is not None:
+            monkeypatch.setattr(kac_degree, "_SLAB", slab)
+        n = resolve_builtin(*model).dim(label)
+        for r in rs:
+            expected = np.concatenate([values for _, values in oracles.chunked_unit_grid(n, r)])
+            got = self._grid(n, r)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    def test_witness_on_a_grid_of_several_slabs(self):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=2)
+        assert m.dim("2") == 3 and 9**5 > kac_degree._SLAB
+        assert len(list(_unit_grid_slabs(3, 5))) > 1
+        result = bounded_degree_identity_check(m, 5, strategy="exhaustive")
+        assert result["verdict"] == "violated"
+        assert result["tuples_checked"] == 14**5
+        assert result["witness"] == oracles.first_unit_witness(m, 5)
+
+    def test_product_count(self):
+        assert _kernel_products(8) == 582  # against 8 * 2^7 = 1024 for the full recursion
+        assert _kernel_products(7) == 329
+        assert _kernel_products(20) <= 10**7 < _kernel_products(21)
+
+
 class TestBoundedDegree:
     def test_amitsur_levitzki_holds_exhaustively(self, s3_dual):
         result = bounded_degree_identity_check(s3_dual, 4, strategy="exhaustive")
@@ -157,6 +213,22 @@ class TestBoundedDegree:
         entries = (math.comb(18, 9) + math.comb(18, 8)) * 1000 * 81
         with pytest.raises(PreconditionError, match=f"needs {entries} table entries"):
             bounded_degree_identity_check(m, 18, strategy="random", trials=1000)
+
+    @pytest.mark.parametrize(
+        ("r", "options"),
+        [(40, {"strategy": "exhaustive"}), (26, {"strategy": "random", "trials": 1})],
+    )
+    def test_product_guard_fires_before_any_work(self, monkeypatch, r, options):
+        # one 1x1 block passes the tuple and entry guards; the recursion itself is the cost
+        h = (r + 1) // 2
+        products = sum(math.comb(r, k) * k for k in range(1, h + 1)) + math.comb(r, h)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(kac_degree, "_standard_polynomial_blocks", refuse)
+        with pytest.raises(PreconditionError, match=f"needs {products} matrix products"):
+            bounded_degree_identity_check(resolve_builtin("cyclic1"), r, **options)
 
     def test_strategy_and_degree_validation(self, s3_dual):
         with pytest.raises(PreconditionError):
