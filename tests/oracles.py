@@ -333,3 +333,23 @@ def frobenius_mismatches_reference(m) -> list[tuple[str, str, str, int, int, str
                     )
                     out.append((alpha, beta, gamma, m1, m2, message))
     return out
+
+
+def coassociativity_dense_reference(rhs: np.ndarray, lhs: np.ndarray) -> float:
+    """One triple's coassociativity residual over every matrix unit, no column skipped.
+
+    rhs and lhs are the two expansion stacks (tensor pair, size, n_alpha).
+    For each a, the blocks of e_{a,a'} for every a' are formed in full,
+    sum_k v[k, x, a] conj(v[k, y, a']), and compared; the residual is the
+    largest difference over max(1, largest right-hand entry).
+    """
+    n_a = rhs.shape[2]
+    lhs_bar, rhs_bar = lhs.conj(), rhs.conj()
+    diff = 0.0
+    scale = 1.0
+    for a in range(n_a):
+        rhs_a = np.einsum("kx,kyA->Axy", rhs[:, :, a], rhs_bar)
+        scale = max(scale, float(np.max(np.abs(rhs_a))))
+        rhs_a -= np.einsum("kx,kyA->Axy", lhs[:, :, a], lhs_bar)
+        diff = max(diff, float(np.max(np.abs(rhs_a))))
+    return diff / scale

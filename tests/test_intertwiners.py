@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cqg import intertwiners
+from cqg.cli import main
 from cqg.errors import CGUnavailableError, ModelConsistencyError, ModelSchemaError, TruncationError
 from cqg.intertwiners import (
     C00Element,
@@ -257,6 +258,157 @@ class TestCoassociativity:
         assert result["max_residual"] <= 1e-9
         for skip in result["skipped"]:
             assert skip["reason"]
+
+
+@pytest.fixture(scope="module")
+def cyclic7_dual():
+    return resolve_builtin("cyclic7")
+
+
+@pytest.fixture(scope="module")
+def suq2_two_level6():
+    return resolve_builtin("su_q_2", q=2.0, max_level=6)
+
+
+def _coassociativity_with_stacks(m, alpha):
+    """verify_coassociativity of alpha, plus the (rhs, lhs) stacks of each checked triple."""
+    stacks = []
+    real = intertwiners._gram_residual
+
+    def spy(rhs, lhs):
+        stacks.append((rhs, lhs))
+        return real(rhs, lhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intertwiners, "_gram_residual", spy)
+        result = verify_coassociativity(m, alpha, list(m.fusion.pairs()))
+    assert len(stacks) == len(result["triples"])
+    return result, stacks
+
+
+def _live_columns(rhs, lhs):
+    flat = [v.reshape(len(v), -1) for v in (rhs, lhs)]
+    return flat[0].any(axis=0) | flat[1].any(axis=0)
+
+
+class TestCoassociativityGram:
+    """The live-column Gram comparison against the dense per-a reference loop."""
+
+    SLABS = (None, 1, 2)  # None: the real slab of `size` rows
+
+    @pytest.mark.parametrize(
+        "fixture", ["s3_dual", "cyclic7_dual", "suq2_half", "suq2_two_level6"]
+    )
+    def test_every_triple_equals_dense_reference(self, request, fixture):
+        m = request.getfixturevalue(fixture)
+        checked = 0
+        for alpha in m.labels:
+            result, stacks = _coassociativity_with_stacks(m, alpha)
+            want = [oracles.coassociativity_dense_reference(r, l) for r, l in stacks]
+            assert [t["residual"] for t in result["triples"]] == want, alpha
+            assert result["max_residual"] == max([0.0] + want), alpha
+            for (rhs, lhs), expected in zip(stacks, want):
+                for slab in self.SLABS[1:]:
+                    assert intertwiners._gram_residual(rhs, lhs, slab) == expected
+            checked += len(want)
+        assert checked
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "zero"])
+    def test_random_stacks_equal_dense_reference(self, kind):
+        rng = np.random.default_rng({"dense": 11, "sparse": 12, "zero": 13}[kind])
+        for trial in range(30):
+            size, n_a = (int(v) for v in rng.integers(1, 7, size=2))
+            k_r, k_l = (int(v) for v in rng.integers(0 if kind == "zero" else 1, 6, size=2))
+
+            def stack(k):
+                v = rng.normal(size=(k, size, n_a)) + 1j * rng.normal(size=(k, size, n_a))
+                return v if kind != "zero" else 0.0 * v
+
+            rhs = stack(k_r)
+            if trial % 2 and k_l == k_r:
+                # the same Gram matrix up to rounding: unit phases on a permuted stack
+                lhs = rhs[rng.permutation(k_r)] * np.exp(1j * rng.uniform(0, 6.3, size=(k_r, 1, 1)))
+            else:
+                lhs = stack(k_l)
+            if kind == "sparse":
+                dead_both = rng.random((size, n_a)) < 0.3
+                rhs[:, dead_both | (rng.random((size, n_a)) < 0.3)] = 0.0
+                lhs[:, dead_both | (rng.random((size, n_a)) < 0.3)] = 0.0
+            want = oracles.coassociativity_dense_reference(rhs, lhs)
+            for slab in self.SLABS:
+                assert intertwiners._gram_residual(rhs, lhs, slab) == want, (trial, slab)
+
+    def test_no_live_column(self):
+        for k_r, k_l in ((0, 0), (3, 0), (0, 2), (2, 3)):
+            rhs = np.zeros((k_r, 4, 3), dtype=complex)
+            lhs = np.zeros((k_l, 4, 3), dtype=complex)
+            for slab in self.SLABS:
+                assert intertwiners._gram_residual(rhs, lhs, slab) == 0.0
+            assert oracles.coassociativity_dense_reference(rhs, lhs) == 0.0
+        # a dead right-hand side leaves the scale at 1: the residual is max |G(lhs)|
+        lhs = np.zeros((1, 4, 3), dtype=complex)
+        lhs[0, 2, 1] = 2.0
+        assert intertwiners._gram_residual(np.zeros((2, 4, 3), dtype=complex), lhs) == 4.0
+
+
+class TestPlantedCoassociativityDefect:
+    """A 1e-11 coefficient on an exactly-zero CG entry passes cg_set's gate but not coassociativity."""
+
+    ALPHA, TRIPLE = "1", ["1", "1", "1"]
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("planted")
+        clean = root / "clean.json"
+        assert main(["export", "--model", "su_q_2", "--q", "0.5", "--max-level", "4",
+                     "--include-cg", "--out", str(clean)]) == 0
+        document = json.loads(clean.read_text(encoding="utf-8"))
+        entry = next(
+            e for e in document["cg"] if (e["beta"], e["gamma"], e["alpha"], e["i"]) == ("1", "1", "2", 1)
+        )
+        assert not any(row[:3] == [2, 0, 0] for row in entry["coeffs"])  # V[b=0, c=0, a=2] == 0
+        entry["coeffs"].append([2, 0, 0, 1e-11, 0.0])
+        defect = root / "defect.json"
+        defect.write_text(json.dumps(document), encoding="utf-8")
+        return clean, defect
+
+    def test_defect_lands_on_dead_columns_and_is_measured(self, documents):
+        clean, defect = (load_model(json.loads(p.read_text(encoding="utf-8"))) for p in documents)
+        for m in (clean, defect):
+            cg_set(m, "1", "1")  # the defect passes the 1e-9 unitarity and intertwining gate
+        residuals, stacks = {}, {}
+        for name, m in (("clean", clean), ("defect", defect)):
+            result, recorded = _coassociativity_with_stacks(m, self.ALPHA)
+            k = [t["triple"] for t in result["triples"]].index(self.TRIPLE)
+            residuals[name], stacks[name] = result["triples"][k]["residual"], recorded[k]
+        assert residuals["defect"] > 0.0
+        assert residuals["defect"] == oracles.coassociativity_dense_reference(*stacks["defect"])
+        assert residuals["defect"] > 5 * residuals["clean"]
+        # the perturbed vectors are nonzero on a column where every clean vector is exactly 0
+        assert np.any(_live_columns(*stacks["defect"]) & ~_live_columns(*stacks["clean"]))
+
+    def _verify(self, path, tol, tmp_path):
+        out = tmp_path / f"{path.stem}-{tol}.json"
+        code = main(["verify", "haar-modular", "--model", str(path), "--tol", tol,
+                     "--format", "json", "--out", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+        flagged = [
+            v for v in report["violations"]
+            if v["check"] == "coassociativity" and v["alpha"] == self.ALPHA and v["triple"] == self.TRIPLE
+        ]
+        return code, report, flagged
+
+    def test_cli_reports_the_violation(self, documents, tmp_path):
+        clean, defect = documents
+        code, _, flagged = self._verify(defect, "1e-13", tmp_path)
+        assert code == 1
+        assert len(flagged) == 1 and flagged[0]["residual"] > 5e-12
+        # at a bound between the exported 12-digit rounding and the defect, only the defect fails
+        code, report, _ = self._verify(clean, "5e-12", tmp_path)
+        assert code == 0 and report["violations"] == []
+        code, report, flagged = self._verify(defect, "5e-12", tmp_path)
+        assert code == 1 and len(flagged) == 1
+        assert {v["check"] for v in report["violations"]} == {"coassociativity"}
 
 
 class TestCompletenessCertificate:
