@@ -546,7 +546,7 @@ def verify_coassociativity(
     }
 
 
-def _gram_residual(rhs: np.ndarray, lhs: np.ndarray, slab: int | None = None) -> float:
+def _gram_residual(rhs: np.ndarray, lhs: np.ndarray) -> float:
     """max |G(rhs) - G(lhs)| over the scale max(1, max |G(rhs)|) of two expansion stacks.
 
     Each stack is (tensor pair, size, n_alpha).  Flattening its columns to
@@ -555,8 +555,8 @@ def _gram_residual(rhs: np.ndarray, lhs: np.ndarray, slab: int | None = None) ->
     which every vector of both stacks is exactly zero gives sums of exact
     zeros on both sides, so only the live columns are formed; each entry is
     the same einsum sum over k as on the full matrix.  Rows are taken
-    ``slab`` at a time (default ``size``), so no array exceeds n_alpha size^2
-    entries even when every column is live.
+    ``size`` at a time, so no array exceeds n_alpha size^2 entries even when
+    every column is live.  A non-finite Gram entry gives residual inf.
     """
     _, size, n_a = rhs.shape
     flat_r = rhs.reshape(rhs.shape[0], size * n_a)
@@ -564,15 +564,18 @@ def _gram_residual(rhs: np.ndarray, lhs: np.ndarray, slab: int | None = None) ->
     live = flat_r.any(axis=0) | flat_l.any(axis=0)
     flat_r, flat_l = flat_r[:, live], flat_l[:, live]
     bar_r, bar_l = flat_r.conj(), flat_l.conj()
-    slab = slab or size
     diff = 0.0
     scale = 1.0
-    for start in range(0, flat_r.shape[1], slab):
-        rows = slice(start, start + slab)
+    for start in range(0, flat_r.shape[1], size):
+        rows = slice(start, start + size)
         gram = np.einsum("kx,ky->xy", flat_r[:, rows], bar_r)
-        scale = max(scale, float(np.abs(gram).max()))
+        top = float(np.abs(gram).max())
         gram -= np.einsum("kx,ky->xy", flat_l[:, rows], bar_l)
-        diff = max(diff, float(np.abs(gram).max()))
+        gap = float(np.abs(gram).max())
+        if not (math.isfinite(top) and math.isfinite(gap)):
+            return math.inf
+        scale = max(scale, top)
+        diff = max(diff, gap)
     return diff / scale
 
 
@@ -814,6 +817,8 @@ def supplement_cg_provider(raw: Any):
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rowv)
             ):
                 raise ModelSchemaError("'cg' coeffs rows must be [a, b, c, re, im] numbers")
+            if not all(isinstance(v, int) or math.isfinite(v) for v in rowv):
+                raise ModelSchemaError("'cg' coeffs rows must hold finite numbers")
         data.setdefault((beta, gamma), []).append((alpha, copy_index, coeffs))
 
     def provider(model: QGModel, beta: str, gamma: str) -> list[tuple[str, int, np.ndarray]]:
