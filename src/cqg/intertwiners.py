@@ -814,11 +814,18 @@ def supplement_cg_provider(raw: Any):
             if (
                 not isinstance(rowv, list)
                 or len(rowv) != 5
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rowv)
+                or not all(
+                    isinstance(v, float) and math.isfinite(v)
+                    or isinstance(v, int) and not isinstance(v, bool)
+                    for v in rowv
+                )
             ):
+                # one pass over the row on the common path; name the fault only on failure
+                if isinstance(rowv, list) and len(rowv) == 5 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in rowv
+                ):
+                    raise ModelSchemaError("'cg' coeffs rows must hold finite numbers")
                 raise ModelSchemaError("'cg' coeffs rows must be [a, b, c, re, im] numbers")
-            if not all(isinstance(v, int) or math.isfinite(v) for v in rowv):
-                raise ModelSchemaError("'cg' coeffs rows must hold finite numbers")
         data.setdefault((beta, gamma), []).append((alpha, copy_index, coeffs))
 
     def provider(model: QGModel, beta: str, gamma: str) -> list[tuple[str, int, np.ndarray]]:

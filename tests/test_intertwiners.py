@@ -451,6 +451,19 @@ class TestPlantedNonFiniteCoefficient:
         with pytest.raises(ModelSchemaError, match="finite"):
             load_model(json.loads(text))
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(math.inf, "finite"), (-math.inf, "finite"), (True, r"\[a, b, c, re, im\] numbers"),
+         ("0.5", r"\[a, b, c, re, im\] numbers"), (None, r"\[a, b, c, re, im\] numbers")],
+    )
+    def test_document_with_bad_coefficient_named(self, value, message):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=4)
+        doc = model_to_document(m)
+        doc["cg"] = cg_supplement_document(m, [("1", "1")])
+        doc["cg"][0]["coeffs"][0][4] = value
+        with pytest.raises(ModelSchemaError, match=message):
+            load_model(doc)
+
 
 class TestCompletenessCertificate:
     """Truncation flags against the untruncated SU(2) rule (oracles.suq2_components)."""
