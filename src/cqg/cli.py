@@ -101,6 +101,46 @@ def _round12(value: Any) -> Any:
     return str(value)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json12(value: Any, indent: str = "") -> str:
+    """``json.dumps(_round12(value), indent=2)``, rounded and encoded in one walk.
+
+    ``indent`` is the indentation of the line value starts on.  Exact types
+    only: anything else (numpy scalars, subclasses, complex values) takes
+    the two-step route, so both routes give the same text for every input.
+    """
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return repr(float(f"{value:.12g}"))
+        return _encode_str(str(value))
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            # str() of distinct keys may coincide; the later value wins, as in _round12
+            value = {str(k): v for k, v in value.items()}
+        items = [f"{_encode_str(k)}: {_json12(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json12(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(_round12(value), indent=2).replace("\n", "\n" + indent)
+
+
 def _fmt_cell(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.12g}" if math.isfinite(value) else str(value)
@@ -110,11 +150,11 @@ def _fmt_cell(value: Any) -> str:
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
+        _write(_json12(report) + "\n", args)
+        return
     report = _round12(report)
-    fmt = args.format
-    if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    elif fmt == "csv":
+    if args.format == "csv":
         lines: list[str] = []
         for section in ("results", "violations", "truncations"):
             rows = report.get(section, [])
@@ -494,7 +534,7 @@ def _cmd_export(args, report, m: QGModel) -> None:
     if args.include_cg:
         pairs = sorted(m.fusion.pairs())
         document["cg"] = cg_supplement_document(m, pairs)
-    _write(json.dumps(_round12(document), indent=2) + "\n", args)
+    _write(_json12(document) + "\n", args)
 
 
 _VERIFY = {

@@ -9,6 +9,7 @@ parameter matrix (the stock example of an asymmetric spectrum).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
 import numpy as np
@@ -64,11 +65,22 @@ def builtin_su_q_2(q: float, max_level: int) -> QGModel:
     decomposition inside the fragment.  q = 1 gives classical SU(2).
     """
     q = float(q)
-    if q <= 0:
-        raise PreconditionError("q must be positive")
     max_level = int(max_level)
+    if not (q > 0 and math.isfinite(q)):
+        raise PreconditionError(
+            f"q must be a positive finite real, got q={q!r} (max_level={max_level})"
+        )
     if max_level < 0:
         raise PreconditionError("max_level must be >= 0")
+    try:
+        extremes = (q**max_level, q**-max_level)
+    except OverflowError:
+        extremes = (math.inf,)
+    if not all(sys.float_info.min <= x < math.inf for x in extremes):
+        raise PreconditionError(
+            f"q**max_level or q**-max_level leaves the normal float range at q={q!r}, "
+            f"max_level={max_level}"
+        )
     irreps = []
     for n in range(max_level + 1):
         eigenvalues = tuple(q ** (n - 2 * k) for k in range(n + 1))

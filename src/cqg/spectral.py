@@ -70,6 +70,33 @@ def tensor_projection_pairs(
     return pairs
 
 
+_TABLE_ENTRIES = 1 << 20  # bound on the pairwise grouping table held at once
+
+
+def _drop_grouped(
+    points: list[tuple[float, float]], eigen_group: float
+) -> list[tuple[float, float]]:
+    """points in order, less each one an earlier kept point groups with in both s and t.
+
+    The table of earlier points grouping with each point is built in blocks
+    of rows; only a row with such a point needs the in-order greedy pass.
+    """
+    log_s = np.array([math.log(s) for s, _ in points])
+    log_t = np.array([math.log(t) for _, t in points])
+    n = len(points)
+    keep = np.ones(n, dtype=bool)
+    block = max(1, _TABLE_ENTRIES // max(n, 1))
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        groups = (np.abs(log_s[rows, None] - log_s) <= eigen_group) & (
+            np.abs(log_t[rows, None] - log_t) <= eigen_group
+        )
+        groups &= np.tri(len(groups), n, start - 1, dtype=bool)  # earlier points only
+        for i in np.flatnonzero(groups.any(axis=1)):
+            keep[start + i] = not (groups[i] & keep).any()
+    return [point for point, kept in zip(points, keep) if kept]
+
+
 def spectral_grid(
     m: QGModel, alpha: str, beta: str, probes: int = 2, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> list[tuple[float, float]]:
@@ -85,14 +112,7 @@ def spectral_grid(
     for t in distinct_eigenvalues(s_beta, tol):
         for product in distinct_eigenvalues(s_alpha, tol):
             points.append((product / t, t))
-    # keep a point unless an earlier kept one groups with it in both s and t
-    logs = np.array([(math.log(s), math.log(t)) for s, t in points]).reshape(-1, 2)
-    seen_logs = np.empty_like(logs)
-    seen: list[tuple[float, float]] = []
-    for point, log_point in zip(points, logs):
-        if not (np.abs(seen_logs[: len(seen)] - log_point) <= tol.eigen_group).all(axis=1).any():
-            seen_logs[len(seen)] = log_point
-            seen.append(point)
+    seen = _drop_grouped(points, tol.eigen_group)
 
     def off_support(s: float, t: float) -> bool:
         return eigenspace_dim(s_beta, t, tol) == 0 or eigenspace_dim(s_alpha, s * t, tol) == 0

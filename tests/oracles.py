@@ -353,3 +353,19 @@ def coassociativity_dense_reference(rhs: np.ndarray, lhs: np.ndarray) -> float:
         rhs_a -= np.einsum("kx,kyA->Axy", lhs[:, :, a], lhs_bar)
         diff = max(diff, float(np.max(np.abs(rhs_a))))
     return diff / scale
+
+
+def drop_grouped_greedy(points, eigen_group: float) -> list[tuple[float, float]]:
+    """points in order, less each one an earlier kept point groups with, one point at a time.
+
+    Two points group when their logs lie within eigen_group of each other in
+    both s and t.
+    """
+    logs = np.array([(math.log(s), math.log(t)) for s, t in points]).reshape(-1, 2)
+    seen_logs = np.empty_like(logs)
+    seen: list[tuple[float, float]] = []
+    for point, log_point in zip(points, logs):
+        if not (np.abs(seen_logs[: len(seen)] - log_point) <= eigen_group).all(axis=1).any():
+            seen_logs[len(seen)] = log_point
+            seen.append(point)
+    return seen

@@ -6,14 +6,21 @@ the installed entry point behaves the same way.
 
 from __future__ import annotations
 
+import enum
 import json
+import math
 import subprocess
 import sys
+from collections import OrderedDict
+from types import MappingProxyType
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqg import resolve_builtin
-from cqg.cli import _round12, main
+from cqg.cli import _json12, _round12, main
 from cqg.rep_data import Tolerance, model_to_document
 from cqg.spectral import spectral_grid, verify_theorem_5_3
 
@@ -221,6 +228,9 @@ class TestExitCodeTwo:
             (("explore", "main-theorem", "--model", "s3", "--alpha0", "std"), ""),
             (("fusion", "--model", "su_q_2", "--max-level", "2",
               "--left", "2", "--right", "9"), "unknown irrep"),
+            (("spectra", "--q", "nan"), "q=nan"),
+            (("spectra", "--q", "inf"), "q=inf"),
+            (("spectra", "--q", "1e-80", "--max-level", "6"), "max_level=6"),
         ],
     )
     def test_usage_errors(self, capsys, argv, needle):
@@ -283,6 +293,91 @@ class TestFormats:
         assert code == 0 and out == "" and err == ""
         report = json.loads(target.read_text(encoding="utf-8"))
         assert list(report) == REPORT_KEYS
+
+
+class _Level(enum.IntEnum):
+    TOP = 3
+
+
+_WRITER_EDGES = [
+    {},
+    [],
+    (),
+    [[], {}, ()],
+    {"a": {}, "b": [[[]]], "c": {"d": {"e": [1, {"f": None}]}}},
+    (1, 2.5, ("x", (None,))),
+    {2: "int", 2.5: "float", True: "bool", None: "none"},
+    {1: "int first", "1": "str later"},
+    {"key": 'say "hi"', "back\\slash": "a\\b", "ctl\x00": "\x00\x1f\t\n\r\x7f\x08\x0c"},
+    ["ünïcödé", "snow ☃", "face 😀", "\ud800", "\u2028"],
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1 / 3],
+    [1e11, 123456789012.5, 1e12, 1e15 + 0.3, 1e16, 12345678901234567.0, 1e17, -1e17],
+    [True, False, 0, -5, 10**30, -(10**30)],
+    [np.float64(1 / 3), np.float64(math.nan), np.int64(7), np.bool_(True), np.float32(0.1)],
+    {"z": complex(1.5, -2.0), "w": [1j, complex(math.inf, 0)]},
+    MappingProxyType({"a": 1.0, "b": [MappingProxyType({})]}),
+    {"proxy": MappingProxyType({"x": (1.25, "y")}), "ordered": OrderedDict(b=2, a=1.0)},
+    [_Level.TOP, type("Tag", (str,), {})("tagged"), np.array([[1, 2], [3, 4]])],
+    1.5,
+    "top",
+    None,
+]
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats(min_value=1e11, max_value=1e17)
+    | st.text()
+)
+_json_keys = st.text() | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_keys, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """_json12 against the two-step route it replaces, text for text."""
+
+    @pytest.mark.parametrize("value", _WRITER_EDGES)
+    def test_edge_cases_match_the_stdlib_route(self, value):
+        assert _json12(value) == json.dumps(_round12(value), indent=2)
+
+    @settings(max_examples=300)
+    @given(_json_values)
+    def test_random_values_match_the_stdlib_route(self, value):
+        assert _json12(value) == json.dumps(_round12(value), indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("models",),
+            ("dims", "--model", "su_q_2", "--max-level", "3"),
+            ("spectra", "--model", "free_orthogonal", "--f-diag", "1,1,2"),
+            ("fusion", "--model", "builtin:s3"),
+            ("cg", "--model", "su_q_2", "--max-level", "3", "--beta", "1", "--gamma", "2"),
+            ("verify", "theorem-5.3", "--model", "su_q_2", "--q", "2", "--max-level", "3"),
+            ("verify", "haar-modular", "--model", "builtin:s3"),
+            ("verify", "symmetry", "--model", "free_orthogonal", "--f-diag", "1,1,2"),
+            ("verify", "frobenius", "--model", "cyclic5"),
+            ("verify", "growth", "--model", "su_q_2", "--max-level", "4"),
+            ("kac", "--model", "su_q_2", "--max-level", "3"),
+            ("bounded-degree", "--model", "builtin:s3", "--r", "3"),
+            ("explore", "main-theorem", "--model", "su_q_2", "--max-level", "16"),
+            ("explore", "corollary-6.5", "--model", "su_q_2", "--bound", "2"),
+            ("export", "--model", "su_q_2", "--max-level", "3", "--include-cg"),
+            ("export", "--model", "builtin:s3", "--include-cg"),
+        ],
+    )
+    def test_json_output_is_the_stdlib_indent_2_text(self, capsys, argv):
+        _, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert err == ""
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestExportRoundTrip:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -78,6 +79,31 @@ class TestSuQ2:
             builtin_su_q_2(-1.0, 4)
         with pytest.raises(PreconditionError):
             builtin_su_q_2(0.5, -1)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("max_level", [0, 4])  # inf**0 is 1.0, inside the float range
+    def test_q_must_be_finite(self, q, max_level):
+        pattern = f"positive finite real, got q=.*max_level={max_level}"
+        with pytest.raises(PreconditionError, match=pattern):
+            builtin_su_q_2(q, max_level)
+
+    @pytest.mark.parametrize(
+        "q, max_level",
+        [
+            (1e-80, 6),  # q**-6 overflows
+            (1e80, 6),  # q**6 overflows
+            (1e-52, 6),  # q**6 is subnormal
+            (0.5, 1100),
+            (2.0, 1100),
+        ],
+    )
+    def test_q_powers_must_stay_in_float_range(self, q, max_level):
+        with pytest.raises(PreconditionError, match=re.escape(f"q={q!r}, max_level={max_level}")):
+            builtin_su_q_2(q, max_level)
+
+    def test_extreme_q_inside_the_range_builds(self):
+        m = builtin_su_q_2(1e-51, 6)
+        assert m.rho("6")[0] == pytest.approx(1e306)
 
 
 class TestFiniteGroupDuals:

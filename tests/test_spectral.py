@@ -22,7 +22,7 @@ from cqg.spectral import (
 )
 
 from .conftest import TIGHT
-from .oracles import theorem_5_3_reference
+from .oracles import drop_grouped_greedy, theorem_5_3_reference
 
 positive = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
 
@@ -114,6 +114,45 @@ class TestSpectralGrid:
         for probes in (0, 1, 4):
             grid = spectral_grid(suq2_half, "0", "0", probes=probes)
             assert len(grid) == 1 + probes
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, 1.0])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOLERANCE, Tolerance(eigen_group=1.5)])
+    def test_grid_equals_the_greedy_loop(self, q, tol):
+        m = resolve_builtin("su_q_2", q=q, max_level=8)
+        for alpha in m.labels:
+            for beta in m.labels:
+                candidates = [
+                    (product / t, t)
+                    for t in distinct_eigenvalues(m.rho(beta), tol)
+                    for product in distinct_eigenvalues(m.rho(alpha), tol)
+                ]
+                want = sorted(
+                    drop_grouped_greedy(candidates, tol.eigen_group), key=lambda p: (-p[1], -p[0])
+                )
+                assert spectral_grid(m, alpha, beta, probes=0, tol=tol) == want
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+        st.sampled_from([1, 3, 1 << 20]),
+    )
+    def test_dropping_grouped_points_equals_the_greedy_loop(self, steps, eigen_group, entries):
+        # distinct eigenvalue classes never group, so points that do come from a lattice
+        points = [(np.exp(0.25 * i), np.exp(0.25 * j)) for i, j in steps]
+        original = spectral._TABLE_ENTRIES
+        spectral._TABLE_ENTRIES = entries  # 1 and 3 split the table into many row blocks
+        try:
+            got = spectral._drop_grouped(points, eigen_group)
+        finally:
+            spectral._TABLE_ENTRIES = original
+        assert got == drop_grouped_greedy(points, eigen_group)
+
+    def test_grouped_points_are_dropped(self):
+        points = [(1.0, 1.0), (1.1, 1.0), (3.0, 1.0), (1.05, 1.05), (3.1, 0.95)]
+        want = [(1.0, 1.0), (3.0, 1.0)]
+        assert drop_grouped_greedy(points, 0.2) == want
+        assert spectral._drop_grouped(points, 0.2) == want
 
 
 class TestTheorem53:
