@@ -258,9 +258,8 @@ def verify_cg_unitarity(tensors: Sequence[CGTensor], tol: Tolerance = DEFAULT_TO
     cross = 0.0
     for i in range(len(tensors)):
         for j in range(i + 1, len(tensors)):
-            cross = max(
-                cross,
-                float(np.max(np.abs(tensors[i].matrix.conj().T @ tensors[j].matrix))),
+            cross = float(
+                np.maximum(cross, np.max(np.abs(tensors[i].matrix.conj().T @ tensors[j].matrix)))
             )
     dim_prod = tensors[0].coeffs.shape[0] * tensors[0].coeffs.shape[1]
     acc = np.zeros((dim_prod, dim_prod), dtype=complex)
@@ -268,7 +267,7 @@ def verify_cg_unitarity(tensors: Sequence[CGTensor], tol: Tolerance = DEFAULT_TO
         v = t.matrix
         acc += v @ v.conj().T
     completeness = float(np.max(np.abs(acc - np.eye(dim_prod))))
-    max_resid = max(max_resid, cross, completeness)
+    max_resid = float(np.max([max_resid, cross, completeness]))  # NaN propagates; max() drops it
     return {
         "pair": list(pair),
         "tensors": per_tensor,

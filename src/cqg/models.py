@@ -81,6 +81,14 @@ def builtin_su_q_2(q: float, max_level: int) -> QGModel:
             f"q**max_level or q**-max_level leaves the normal float range at q={q!r}, "
             f"max_level={max_level}"
         )
+    # fusion entries, the sum of min(l, r) + 1 over l + r <= max_level; the cap is level 490
+    half, odd = divmod(max_level, 2)
+    entries = (half + 1) * (half + 2) * (4 * half + 3 + 6 * odd) // 6
+    if entries > 10**7:
+        raise PreconditionError(
+            f"su_q_2 at max_level={max_level} has {entries} fusion entries, above the cap of "
+            f"10**7 (max_level <= 490)"
+        )
     irreps = []
     for n in range(max_level + 1):
         eigenvalues = tuple(q ** (n - 2 * k) for k in range(n + 1))
@@ -88,18 +96,21 @@ def builtin_su_q_2(q: float, max_level: int) -> QGModel:
         if not rho_defining_property_oracle(spectrum):
             raise ModelConsistencyError(f"generated spectrum for level {n} is not balanced")
         irreps.append(Irrep(label=str(n), dim=n + 1, rho=spectrum, conjugate=str(n)))
-    rows = {}
-    for left in range(max_level + 1):
-        for right in range(max_level + 1 - left):
-            rows[(str(left), str(right))] = {
-                str(n): 1 for n in range(abs(left - right), left + right + 1, 2)
-            }
+    # pairs (l, r) with l + r <= max_level, row-major; components |l - r|, |l - r| + 2, ..., l + r
+    sizes = np.arange(max_level + 1, 0, -1)
+    left = np.repeat(np.arange(max_level + 1), sizes)
+    right = np.arange(len(left)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    counts = np.minimum(left, right) + 1
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    comp = np.repeat(np.abs(left - right) - 2 * offsets[:-1], counts) + 2 * np.arange(entries)
+    labels = [str(n) for n in range(max_level + 1)]
+    fusion = FusionTable._from_arrays(labels, left, right, offsets, comp, np.ones_like(comp))
     return _certify(
         QGModel(
             name=f"su_q_2(q={q:g},max_level={max_level})",
             trivial="0",
             irreps=tuple(irreps),
-            fusion=FusionTable(rows),
+            fusion=fusion,
             parameters={"q": q, "max_level": max_level},
             cg=SuQ2CGProvider(q),
             truncation_note=f"irreps and fusion truncated at combined level {max_level}",

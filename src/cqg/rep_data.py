@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import ModelConsistencyError, ModelSchemaError, TruncationError
 
 
@@ -138,7 +140,10 @@ class FusionTable:
 
     Absent pair = the decomposition leaves the model fragment; absent label
     within an ingested pair = multiplicity 0.  Instances are read-only after
-    construction.
+    construction.  Held as flat integer arrays over the label universe
+    ``_labels``: per pair (in ingestion order) ``_left``, ``_right`` and CSR
+    ``_offsets`` into the per-entry ``_comp`` and ``_mult`` (in-row order kept);
+    a row's read-only mapping is built the first time it is read.
     """
 
     def __init__(self, entries: Mapping[tuple[str, str], Mapping[str, int]]):
@@ -146,30 +151,58 @@ class FusionTable:
         for (left, right), components in entries.items():
             row = {str(label): int(mult) for label, mult in components.items()}
             for label, mult in row.items():
-                if mult < 1:
+                if not 1 <= mult < 2**63:
                     raise ModelConsistencyError(
-                        f"fusion {left!r} x {right!r}: multiplicity of {label!r} is {mult}, must be >= 1"
+                        f"fusion {left!r} x {right!r}: multiplicity of {label!r} is {mult}, "
+                        f"must be {'>= 1' if mult < 1 else 'below 2**63'}"
                     )
             table[(str(left), str(right))] = MappingProxyType(row)
-        self._entries = table
+        index: dict[str, int] = {}
+        ends = [index.setdefault(label, len(index)) for pair in table for label in pair]
+        comp = [index.setdefault(label, len(index)) for row in table.values() for label in row]
+        mult = [value for row in table.values() for value in row.values()]
+        offsets = np.cumsum([0, *map(len, table.values())])
+        self._adopt(tuple(index), ends[0::2], ends[1::2], offsets, comp, mult, table)
+
+    @classmethod
+    def _from_arrays(cls, *arrays: Any) -> "FusionTable":
+        """A table from (labels, left, right, offsets, comp, mult); rows are built on first read."""
+        table = cls.__new__(cls)
+        table._adopt(*arrays, {})
+        return table
+
+    def _adopt(self, labels, left, right, offsets, comp, mult, rows: dict) -> None:
+        self._labels, self._rows = tuple(labels), rows
+        self._left, self._right, self._offsets, self._comp, self._mult = (
+            np.asarray(a, dtype=np.int64) for a in (left, right, offsets, comp, mult)
+        )
+        ends = (map(self._labels.__getitem__, a.tolist()) for a in (self._left, self._right))
+        self._pairs = tuple(zip(*ends))
+        self._index = dict(zip(self._pairs, range(len(self._pairs))))
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self._entries)
+        return self._pairs
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._entries
+        return pair in self._index
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._pairs)
 
     def components(self, left: str, right: str) -> Mapping[str, int]:
         """The read-only row of an ingested pair; TruncationError when the pair is absent."""
-        row = self._entries.get((left, right))
+        row = self._rows.get((left, right))
         if row is None:
-            raise TruncationError(
-                f"fusion pair ({left!r}, {right!r}) is not ingested in this model fragment",
-                pair=(left, right),
-            )
+            i = self._index.get((left, right))
+            if i is None:
+                raise TruncationError(
+                    f"fusion pair ({left!r}, {right!r}) is not ingested in this model fragment",
+                    pair=(left, right),
+                )
+            lo, hi = self._offsets[i : i + 2].tolist()
+            labels = map(self._labels.__getitem__, self._comp[lo:hi].tolist())
+            row = MappingProxyType(dict(zip(labels, self._mult[lo:hi].tolist())))
+            self._rows[left, right] = row
         return row
 
     def multiplicity(self, alpha: str, left: str, right: str) -> int:
@@ -272,194 +305,191 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
     report = ValidationReport()
 
     for irr in m.irreps:
-        residual = irr.rho.balance_residual()
-        if not irr.rho.is_balanced(tol):
-            report.add(
-                "trace-balance",
-                (irr.label,),
-                residual,
-                f"irrep {irr.label!r}: trace {irr.rho.trace():.12g} vs inverse trace "
-                f"{irr.rho.inverse_trace():.12g}",
-            )
+        rho = irr.rho
+        if not rho.is_balanced(tol):
+            message = f"trace {rho.trace():.12g} vs inverse trace {rho.inverse_trace():.12g}"
+            message = f"irrep {irr.label!r}: {message}"
+            report.add("trace-balance", (irr.label,), rho.balance_residual(), message)
         if irr.conjugate not in m:
-            report.add(
-                "conjugate-missing",
-                (irr.label, irr.conjugate),
-                None,
-                f"irrep {irr.label!r}: conjugate {irr.conjugate!r} is not in the model",
-            )
+            message = f"irrep {irr.label!r}: conjugate {irr.conjugate!r} is not in the model"
+            report.add("conjugate-missing", (irr.label, irr.conjugate), None, message)
             continue
         conj = m.irrep(irr.conjugate)
         if conj.conjugate != irr.label:
-            report.add(
-                "conjugate-involution",
-                (irr.label, conj.label),
-                None,
-                f"conjugate of {conj.label!r} is {conj.conjugate!r}, expected {irr.label!r}",
-            )
-        expected = irr.rho.conjugate()
-        if len(conj.rho) != len(expected) or not all(
-            tol.close(x, y) for x, y in zip(conj.rho, expected)
-        ):
-            worst = (
-                max(abs(x - y) for x, y in zip(conj.rho, expected))
-                if len(conj.rho) == len(expected)
-                else float("inf")
-            )
-            report.add(
-                "conjugate-spectrum",
-                (irr.label, conj.label),
-                worst,
-                f"rho of {conj.label!r} is not the inverse multiset of rho of {irr.label!r}",
-            )
+            message = f"conjugate of {conj.label!r} is {conj.conjugate!r}, expected {irr.label!r}"
+            report.add("conjugate-involution", (irr.label, conj.label), None, message)
+        expected = rho.conjugate()
+        same = len(conj.rho) == len(expected)
+        if not same or not all(tol.close(x, y) for x, y in zip(conj.rho, expected)):
+            worst = max(abs(x - y) for x, y in zip(conj.rho, expected)) if same else float("inf")
+            message = f"rho of {conj.label!r} is not the inverse multiset of rho of {irr.label!r}"
+            report.add("conjugate-spectrum", (irr.label, conj.label), worst, message)
 
     triv = m.irrep(m.trivial)
     if triv.dim != 1 or not tol.close(triv.rho[0], 1.0):
-        report.add(
-            "trivial-irrep",
-            (m.trivial,),
-            abs(triv.rho[0] - 1.0) if triv.dim == 1 else None,
-            f"trivial irrep must have dim 1 and rho (1); got dim {triv.dim}, rho {tuple(triv.rho)}",
-        )
+        residual = abs(triv.rho[0] - 1.0) if triv.dim == 1 else None
+        message = f"got dim {triv.dim}, rho {tuple(triv.rho)}"
+        message = f"trivial irrep must have dim 1 and rho (1); {message}"
+        report.add("trivial-irrep", (m.trivial,), residual, message)
     if triv.conjugate != triv.label:
-        report.add(
-            "trivial-irrep",
-            (m.trivial,),
-            None,
-            f"trivial irrep must be self-conjugate; conjugate is {triv.conjugate!r}",
-        )
+        message = f"trivial irrep must be self-conjugate; conjugate is {triv.conjugate!r}"
+        report.add("trivial-irrep", (m.trivial,), None, message)
 
+    # array reductions flag a superset of the failing pairs; only those get the checks below
+    flat = _flat(m)
+    names, conj, left, right, comp, mult, pair, checked = flat
+    extra = [0] * (len(names) - len(m.labels))
+    dims = np.array([irr.dim for irr in m.irreps] + extra, dtype=float)
+    traces = np.array([irr.rho.trace() for irr in m.irreps] + extra, dtype=float)
+    t, lens = m.labels.index(m.trivial), np.diff(m.fusion._offsets)
+    dim_sum, d1_sum, triv_mult = (
+        np.bincount(pair, w, minlength=len(left))
+        for w in (mult * dims[comp], mult * traces[comp], mult * (comp == t))
+    )
+    with np.errstate(all="ignore"):  # 2^-40 of the sums covers rounding; inf and nan flag
+        d1_prod = traces[left] * traces[right]
+        d1_bound = tol.abs + tol.rel * np.maximum(np.abs(d1_sum), np.abs(d1_prod))
+        d1_off = ~(np.abs(d1_sum - d1_prod) <= d1_bound - 2.0**-40 * (d1_sum + d1_prod))
+    # x where the row is {x: m}, else -1; m > 1 fails the dimension count
+    lone = np.where(lens == 1, np.append(comp, -1)[m.fusion._offsets[:-1]], -1)
+    flagged = (
+        ~checked
+        | (dim_sum != dims[left] * dims[right])
+        | d1_off
+        | ((left == t) & (lone != right))
+        | ((right == t) & (lone != left))
+        | (triv_mult != (conj[left] == right))
+    )
+    pairs = m.fusion.pairs()
     dims = {irr.label: irr.dim for irr in m.irreps}
     traces = {irr.label: irr.rho.trace() for irr in m.irreps}
-    for left, right in m.fusion.pairs():
-        if left not in m or right not in m:
-            report.add(
-                "fusion-labels",
-                (left, right),
-                None,
-                f"fusion pair ({left!r}, {right!r}) references labels outside the model",
-            )
-            continue
-        row = m.fusion.components(left, right)
-        unknown = [label for label in row if label not in m]
-        if unknown:
-            report.add(
-                "fusion-labels",
-                (left, right, *unknown),
-                None,
-                f"fusion pair ({left!r}, {right!r}) has components outside the model: {unknown}",
-            )
+    for left, right in map(pairs.__getitem__, np.flatnonzero(flagged).tolist()):
+        row, where = m.fusion.components(left, right), f"fusion {left!r} x {right!r}"
+        outside = left not in m or right not in m
+        unknown = [] if outside else [label for label in row if label not in m]
+        if outside or unknown:
+            detail = "references labels" if outside else "has components"
+            message = f"fusion pair ({left!r}, {right!r}) {detail} outside the model"
+            message += f": {unknown}" if unknown else ""
+            report.add("fusion-labels", (left, right, *unknown), None, message)
             continue
         dim_sum = sum(mult * dims[label] for label, mult in row.items())
         dim_prod = dims[left] * dims[right]
         if dim_sum != dim_prod:
-            report.add(
-                "dimension-count",
-                (left, right),
-                float(abs(dim_sum - dim_prod)),
-                f"fusion {left!r} x {right!r}: component dims sum to {dim_sum}, product is {dim_prod}",
-            )
+            message = f"{where}: component dims sum to {dim_sum}, product is {dim_prod}"
+            report.add("dimension-count", (left, right), float(abs(dim_sum - dim_prod)), message)
         d1_sum = sum(mult * traces[label] for label, mult in row.items())
         d1_prod = traces[left] * traces[right]
         if not tol.close(d1_sum, d1_prod):
-            report.add(
-                "quantum-dimension-count",
-                (left, right),
-                abs(d1_sum - d1_prod),
-                f"fusion {left!r} x {right!r}: quantum dims sum to {d1_sum:.12g}, "
-                f"product is {d1_prod:.12g}",
-            )
+            message = f"{where}: quantum dims sum to {d1_sum:.12g}, product is {d1_prod:.12g}"
+            report.add("quantum-dimension-count", (left, right), abs(d1_sum - d1_prod), message)
         for unit, other, product in (
             (left, right, f"trivial x {right!r}"),
             (right, left, f"{left!r} x trivial"),
         ):
             if unit == m.trivial and row != {other: 1}:
-                report.add(
-                    "trivial-unit",
-                    (left, right),
-                    None,
-                    f"{product} must decompose as {other!r} alone; got {dict(row)}",
-                )
-        # multiplicity of the trivial component detects conjugate pairs:
-        # it is 1 exactly when right = conjugate(left)
-        triv_mult = row.get(m.trivial, 0)
-        expected_triv = 1 if m.conjugate(left) == right else 0
-        if triv_mult != expected_triv:
-            report.add(
-                "trivial-multiplicity",
-                (left, right),
-                float(abs(triv_mult - expected_triv)),
-                f"fusion {left!r} x {right!r}: trivial component multiplicity {triv_mult}, "
-                f"expected {expected_triv}",
-            )
+                message = f"{product} must decompose as {other!r} alone; got {dict(row)}"
+                report.add("trivial-unit", (left, right), None, message)
+        # the trivial component detects conjugate pairs: multiplicity 1 iff right = conj(left)
+        found, expected = row.get(m.trivial, 0), int(m.conjugate(left) == right)
+        if found != expected:
+            message = f"{where}: trivial component multiplicity {found}, expected {expected}"
+            report.add("trivial-multiplicity", (left, right), float(abs(found - expected)), message)
 
-    for alpha, beta, gamma, m1, m2, message in _frobenius_mismatches(m):
+    for alpha, beta, gamma, m1, m2, message in _frobenius_mismatches(m, flat):
         report.add("frobenius", (alpha, beta, gamma), float(abs(m1 - m2)), message)
     return report
 
 
-def _frobenius_mismatches(m: QGModel) -> Iterator[tuple[str, str, str, int, int, str]]:
+def _flat(m: QGModel) -> tuple:
+    """(names, conj, left, right, comp, mult, pair, checked): the fusion arrays of ``m`` over
+    global label indices (the model's labels in declaration order, then the table's others),
+    conjugates by index (-1 outside), each entry's pair position, and per pair whether its
+    labels and components all lie in the model."""
+    fusion, n = m.fusion, len(m.labels)
+    names = [*m.labels, *(label for label in fusion._labels if label not in m)]
+    index = {label: i for i, label in enumerate(names)}
+    conj = [index.get(m.conjugate(label), -1) for label in m.labels] + [-1] * (len(names) - n)
+    to_global = np.array([index[label] for label in fusion._labels], dtype=np.int64)
+    left, right, comp = (to_global[a] for a in (fusion._left, fusion._right, fusion._comp))
+    pair = np.repeat(np.arange(len(left)), np.diff(fusion._offsets))
+    checked = (left < n) & (right < n) & (np.bincount(pair, comp >= n, minlength=len(left)) == 0)
+    return names, np.array(conj, dtype=np.int64), left, right, comp, fusion._mult, pair, checked
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray) -> Callable:
+    """get(queries, valid): the value stored under each valid query key, 0 where absent."""
+    order = np.argsort(keys, kind="stable")
+    keys = np.append(keys[order], np.iinfo(np.int64).max)  # keeps every position in range
+    values = np.append(values[order], 0)
+
+    def get(queries: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(keys, queries)
+        found = values[pos]
+        found *= valid & (keys[pos] == queries)
+        return found
+
+    return get
+
+
+def _frobenius_mismatches(m: QGModel, flat: tuple = ()) -> list[tuple]:
     """Multiplicity reciprocity on every triple whose needed pairs are all ingested.
 
-    For each ingested pair (beta, gamma) whose labels and components are all
-    in the model, and every label alpha, the multiplicity m1 of alpha in
-    beta x gamma is compared with the two reciprocal readings,
-    m(beta, alpha x conj(gamma)) and m(gamma, conj(beta) x alpha), whenever
-    their pairs are ingested too.  Only nonzero fusion entries are visited:
-    a mismatch with m1 > 0 is an entry of the row of beta x gamma, read
-    against both reciprocals; one with m1 = 0 has a nonzero reciprocal, an
-    entry of some row (left, right), whose triples are found through the
-    preimage of conjugation (not conjugation itself, which need not be an
-    involution on an invalid model).  Yields (alpha, beta, gamma, m1,
-    reciprocal multiplicity, message) per mismatch, in ingested-pair order,
-    then label declaration order, then the first reading before the second.
+    For each pair (beta, gamma) whose labels and components all lie in the
+    model and every label alpha, m1 = m(alpha, beta x gamma) is compared with
+    m(beta, alpha x conj(gamma)) and m(gamma, conj(beta) x alpha) wherever
+    those pairs are ingested, by sorted-key joins on (left * K + right) * K +
+    label over the nonzero entries: m1 > 0 is an entry of beta x gamma; m1 = 0
+    is found from the nonzero reciprocal through the preimage of conjugation
+    (which need not be an involution on an invalid model).  Returns (alpha,
+    beta, gamma, m1, reciprocal multiplicity, message) per mismatch, by
+    ingested pair, then label declaration order, then the reading.
     """
-    pairs = m.fusion.pairs()
-    rows = {pair: m.fusion.components(*pair) for pair in pairs}
-    order = {label: i for i, label in enumerate(m.labels)}
-    checked = {
-        pair: i
-        for i, pair in enumerate(pairs)
-        if pair[0] in order and pair[1] in order and all(label in order for label in rows[pair])
-    }
-    preimage: dict[str, list[str]] = {}
-    for label in m.labels:
-        preimage.setdefault(m.conjugate(label), []).append(label)
-    found: list[tuple[tuple[int, int, int], tuple[str, str, str, int, int, str]]] = []
+    names, conj, left, right, comp, mult, pair, checked = flat or _flat(m)
+    n, k = len(m.labels), len(names)
+    lefts, rights = left[pair], right[pair]
+    pair_at = _lookup(left * k + right, np.arange(1, len(left) + 1))  # pair position + 1
+    mult_at = _lookup((lefts * k + rights) * k + comp, mult)
+    found = []
 
-    def note(reading, alpha, beta, gamma, m1, label, left, right, m2) -> None:
-        message = (
-            f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
-            f"m({label!r}, {left!r} x {right!r}) = {m2}"
-        )
-        key = (checked[beta, gamma], order[alpha], reading)
-        found.append((key, (alpha, beta, gamma, m1, m2, message)))
+    def note(reading, at, alpha, beta, gamma, m1, m2) -> None:
+        found.append((at, alpha, np.full(len(at), reading), beta, gamma, m1, m2))
 
-    # m1 > 0: each entry of a checked row against both of its reciprocal readings
-    for beta, gamma in checked:
-        beta_bar, gamma_bar = m.conjugate(beta), m.conjugate(gamma)
-        for alpha, m1 in rows[beta, gamma].items():
-            readings = ((0, beta, alpha, gamma_bar), (1, gamma, beta_bar, alpha))
-            for reading, label, left, right in readings:
-                other = rows.get((left, right))
-                if other is not None and other.get(label, 0) != m1:
-                    note(reading, alpha, beta, gamma, m1, label, left, right, other.get(label, 0))
-    # m1 = 0: each entry m2 of a row (left, right) read as the reciprocal of the
-    # triples it answers, (left, label, gamma) with conj(gamma) = right and
-    # (right, beta, label) with conj(beta) = left
-    for (left, right), row in rows.items():
-        gammas = preimage.get(right, ()) if left in order else ()
-        betas = preimage.get(left, ()) if right in order else ()
-        for label, m2 in row.items():
-            for gamma in gammas:
-                if (label, gamma) in checked and left not in rows[label, gamma]:
-                    note(0, left, label, gamma, 0, label, left, right, m2)
-            for beta in betas:
-                if (beta, label) in checked and right not in rows[beta, label]:
-                    note(1, right, beta, label, 0, label, left, right, m2)
-    found.sort(key=lambda item: item[0])
-    for _, mismatch in found:
-        yield mismatch
+    # m1 > 0: each entry of a checked row against both of its reciprocal readings;
+    # a reading of 0 is a mismatch only where its pair is ingested
+    for reading, (label, a, b) in enumerate(((lefts, comp, rights), (rights, lefts, comp))):
+        a, b = (a, conj[b]) if reading == 0 else (conj[a], b)
+        valid = checked[pair] & (a >= 0) & (b >= 0)
+        m2 = mult_at((a * k + b) * k + label, valid)
+        i = np.flatnonzero(valid & (m2 != mult))
+        i = i[pair_at(a[i] * k + b[i], True) > 0]
+        note(reading, pair[i], comp[i], lefts[i], rights[i], mult[i], m2[i])
+    del a, b, m2  # entry-length arrays the next pass has no use for
+    # m1 = 0: each entry m2 of a row (left, right) is the reciprocal of the triples
+    # (left, label, gamma) with conj(gamma) = right and (right, beta, label) with
+    # conj(beta) = left; pre is the j-th label with conjugate t, or -1
+    by_conj = np.argsort(conj, kind="stable")
+    bounds = np.searchsorted(conj[by_conj], np.arange(k + 1))
+    for j in range(np.diff(bounds).max(initial=0)):
+        pre = np.where(np.diff(bounds) > j, by_conj[np.minimum(bounds[:-1] + j, k - 1)], -1)
+        for reading, (alpha, target) in enumerate(((lefts, rights), (rights, lefts))):
+            other = pre[target]
+            beta, gamma = (comp, other) if reading == 0 else (other, comp)
+            # alpha is a model label absent from the row of beta x gamma, a checked pair
+            valid = (alpha < n) & (other >= 0)
+            i = np.flatnonzero(valid & (mult_at((beta * k + gamma) * k + alpha, valid) == 0))
+            at = pair_at(beta[i] * k + gamma[i], True) - 1
+            i, at = i[(at >= 0) & checked[at]], at[(at >= 0) & checked[at]]
+            note(reading, at, alpha[i], beta[i], gamma[i], np.zeros_like(i), mult[i])
+    columns = [np.concatenate(column) for column in zip(*found)]
+    order = np.lexsort(columns[2::-1])  # by pair position, then alpha, then reading
+    out = []
+    for _, alpha, reading, beta, gamma, m1, m2 in zip(*(c[order].tolist() for c in columns)):
+        a, b, g = names[alpha], names[beta], names[gamma]
+        label, x, y = (b, a, m.conjugate(g)) if reading == 0 else (g, m.conjugate(b), a)
+        message = f"m({a!r}, {b!r} x {g!r}) = {m1} but m({label!r}, {x!r} x {y!r}) = {m2}"
+        out.append((a, b, g, m1, m2, message))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from cqg.rep_data import DEFAULT_TOLERANCE, Tolerance, ValidationReport
+
 
 def q_int(n: int, q: float) -> float:
     """Quantum integer (q^n - q^-n) / (q - q^-1), with the q=1 limit."""
@@ -369,3 +371,202 @@ def drop_grouped_greedy(points, eigen_group: float) -> list[tuple[float, float]]
             seen_logs[len(seen)] = log_point
             seen.append(point)
     return seen
+
+
+def validate_model_reference(m, tol: Tolerance = DEFAULT_TOLERANCE) -> ValidationReport:
+    """The structural validation as a walk over every irrep and every ingested pair.
+
+    The per-pair invariants are checked on each pair in turn, then the
+    mismatches of :func:`frobenius_walk_reference` are appended;
+    ``cqg.rep_data.validate_model`` must return the same issues in order.
+    """
+    report = ValidationReport()
+
+    for irr in m.irreps:
+        residual = irr.rho.balance_residual()
+        if not irr.rho.is_balanced(tol):
+            report.add(
+                "trace-balance",
+                (irr.label,),
+                residual,
+                f"irrep {irr.label!r}: trace {irr.rho.trace():.12g} vs inverse trace "
+                f"{irr.rho.inverse_trace():.12g}",
+            )
+        if irr.conjugate not in m:
+            report.add(
+                "conjugate-missing",
+                (irr.label, irr.conjugate),
+                None,
+                f"irrep {irr.label!r}: conjugate {irr.conjugate!r} is not in the model",
+            )
+            continue
+        conj = m.irrep(irr.conjugate)
+        if conj.conjugate != irr.label:
+            report.add(
+                "conjugate-involution",
+                (irr.label, conj.label),
+                None,
+                f"conjugate of {conj.label!r} is {conj.conjugate!r}, expected {irr.label!r}",
+            )
+        expected = irr.rho.conjugate()
+        if len(conj.rho) != len(expected) or not all(
+            tol.close(x, y) for x, y in zip(conj.rho, expected)
+        ):
+            worst = (
+                max(abs(x - y) for x, y in zip(conj.rho, expected))
+                if len(conj.rho) == len(expected)
+                else float("inf")
+            )
+            report.add(
+                "conjugate-spectrum",
+                (irr.label, conj.label),
+                worst,
+                f"rho of {conj.label!r} is not the inverse multiset of rho of {irr.label!r}",
+            )
+
+    triv = m.irrep(m.trivial)
+    if triv.dim != 1 or not tol.close(triv.rho[0], 1.0):
+        report.add(
+            "trivial-irrep",
+            (m.trivial,),
+            abs(triv.rho[0] - 1.0) if triv.dim == 1 else None,
+            f"trivial irrep must have dim 1 and rho (1); got dim {triv.dim}, rho {tuple(triv.rho)}",
+        )
+    if triv.conjugate != triv.label:
+        report.add(
+            "trivial-irrep",
+            (m.trivial,),
+            None,
+            f"trivial irrep must be self-conjugate; conjugate is {triv.conjugate!r}",
+        )
+
+    dims = {irr.label: irr.dim for irr in m.irreps}
+    traces = {irr.label: irr.rho.trace() for irr in m.irreps}
+    for left, right in m.fusion.pairs():
+        if left not in m or right not in m:
+            report.add(
+                "fusion-labels",
+                (left, right),
+                None,
+                f"fusion pair ({left!r}, {right!r}) references labels outside the model",
+            )
+            continue
+        row = m.fusion.components(left, right)
+        unknown = [label for label in row if label not in m]
+        if unknown:
+            report.add(
+                "fusion-labels",
+                (left, right, *unknown),
+                None,
+                f"fusion pair ({left!r}, {right!r}) has components outside the model: {unknown}",
+            )
+            continue
+        dim_sum = sum(mult * dims[label] for label, mult in row.items())
+        dim_prod = dims[left] * dims[right]
+        if dim_sum != dim_prod:
+            report.add(
+                "dimension-count",
+                (left, right),
+                float(abs(dim_sum - dim_prod)),
+                f"fusion {left!r} x {right!r}: component dims sum to {dim_sum}, product is {dim_prod}",
+            )
+        d1_sum = sum(mult * traces[label] for label, mult in row.items())
+        d1_prod = traces[left] * traces[right]
+        if not tol.close(d1_sum, d1_prod):
+            report.add(
+                "quantum-dimension-count",
+                (left, right),
+                abs(d1_sum - d1_prod),
+                f"fusion {left!r} x {right!r}: quantum dims sum to {d1_sum:.12g}, "
+                f"product is {d1_prod:.12g}",
+            )
+        for unit, other, product in (
+            (left, right, f"trivial x {right!r}"),
+            (right, left, f"{left!r} x trivial"),
+        ):
+            if unit == m.trivial and row != {other: 1}:
+                report.add(
+                    "trivial-unit",
+                    (left, right),
+                    None,
+                    f"{product} must decompose as {other!r} alone; got {dict(row)}",
+                )
+        # multiplicity of the trivial component detects conjugate pairs:
+        # it is 1 exactly when right = conjugate(left)
+        triv_mult = row.get(m.trivial, 0)
+        expected_triv = 1 if m.conjugate(left) == right else 0
+        if triv_mult != expected_triv:
+            report.add(
+                "trivial-multiplicity",
+                (left, right),
+                float(abs(triv_mult - expected_triv)),
+                f"fusion {left!r} x {right!r}: trivial component multiplicity {triv_mult}, "
+                f"expected {expected_triv}",
+            )
+
+    for alpha, beta, gamma, m1, m2, message in frobenius_walk_reference(m):
+        report.add("frobenius", (alpha, beta, gamma), float(abs(m1 - m2)), message)
+    return report
+
+
+def frobenius_walk_reference(m) -> list[tuple[str, str, str, int, int, str]]:
+    """Multiplicity reciprocity on every triple whose needed pairs are all ingested.
+
+    For each ingested pair (beta, gamma) whose labels and components are all
+    in the model, and every label alpha, the multiplicity m1 of alpha in
+    beta x gamma is compared with the two reciprocal readings,
+    m(beta, alpha x conj(gamma)) and m(gamma, conj(beta) x alpha), whenever
+    their pairs are ingested too.  Only nonzero fusion entries are visited:
+    a mismatch with m1 > 0 is an entry of the row of beta x gamma, read
+    against both reciprocals; one with m1 = 0 has a nonzero reciprocal, an
+    entry of some row (left, right), whose triples are found through the
+    preimage of conjugation (not conjugation itself, which need not be an
+    involution on an invalid model).  Returns (alpha, beta, gamma, m1,
+    reciprocal multiplicity, message) per mismatch, in ingested-pair order,
+    then label declaration order, then the first reading before the second.
+    """
+    pairs = m.fusion.pairs()
+    rows = {pair: m.fusion.components(*pair) for pair in pairs}
+    order = {label: i for i, label in enumerate(m.labels)}
+    checked = {
+        pair: i
+        for i, pair in enumerate(pairs)
+        if pair[0] in order and pair[1] in order and all(label in order for label in rows[pair])
+    }
+    preimage: dict[str, list[str]] = {}
+    for label in m.labels:
+        preimage.setdefault(m.conjugate(label), []).append(label)
+    found: list[tuple[tuple[int, int, int], tuple[str, str, str, int, int, str]]] = []
+
+    def note(reading, alpha, beta, gamma, m1, label, left, right, m2) -> None:
+        message = (
+            f"m({alpha!r}, {beta!r} x {gamma!r}) = {m1} but "
+            f"m({label!r}, {left!r} x {right!r}) = {m2}"
+        )
+        key = (checked[beta, gamma], order[alpha], reading)
+        found.append((key, (alpha, beta, gamma, m1, m2, message)))
+
+    # m1 > 0: each entry of a checked row against both of its reciprocal readings
+    for beta, gamma in checked:
+        beta_bar, gamma_bar = m.conjugate(beta), m.conjugate(gamma)
+        for alpha, m1 in rows[beta, gamma].items():
+            readings = ((0, beta, alpha, gamma_bar), (1, gamma, beta_bar, alpha))
+            for reading, label, left, right in readings:
+                other = rows.get((left, right))
+                if other is not None and other.get(label, 0) != m1:
+                    note(reading, alpha, beta, gamma, m1, label, left, right, other.get(label, 0))
+    # m1 = 0: each entry m2 of a row (left, right) read as the reciprocal of the
+    # triples it answers, (left, label, gamma) with conj(gamma) = right and
+    # (right, beta, label) with conj(beta) = left
+    for (left, right), row in rows.items():
+        gammas = preimage.get(right, ()) if left in order else ()
+        betas = preimage.get(left, ()) if right in order else ()
+        for label, m2 in row.items():
+            for gamma in gammas:
+                if (label, gamma) in checked and left not in rows[label, gamma]:
+                    note(0, left, label, gamma, 0, label, left, right, m2)
+            for beta in betas:
+                if (beta, label) in checked and right not in rows[beta, label]:
+                    note(1, right, beta, label, 0, label, left, right, m2)
+    found.sort(key=lambda item: item[0])
+    return [mismatch for _, mismatch in found]
