@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any
 
-from .dimensions import growth_inequality_check, symmetry_check, symmetry_sweep
+from .dimensions import dim_t, growth_inequality_check, symmetry_check, symmetry_sweep
 from .errors import (
     CGUnavailableError,
-    CQGError,
     ModelConsistencyError,
     ModelSchemaError,
     PreconditionError,
@@ -40,8 +40,8 @@ from .kac_degree import (
     n_G,
     subsequence_refine,
 )
-from .models import BUILTIN_NAMES, resolve_builtin
-from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance, load_model, model_to_document
+from .models import resolve_builtin
+from .rep_data import QGModel, Tolerance, load_model, model_to_document
 from .spectral import _theorem_5_3_sweep, spectral_grid
 
 
@@ -61,12 +61,9 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_ints(text: str) -> list[int]:
     values = _parse_floats(text)
-    out = []
-    for v in values:
-        if v != int(v):
-            raise PreconditionError(f"expected integers, got {text!r}")
-        out.append(int(v))
-    return out
+    if any(v != int(v) for v in values):
+        raise PreconditionError(f"expected integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _resolve_model(args: argparse.Namespace) -> QGModel:
@@ -78,8 +75,6 @@ def _resolve_model(args: argparse.Namespace) -> QGModel:
     try:
         return resolve_builtin(name, q=args.q, max_level=args.max_level, f_diag=f_diag)
     except PreconditionError:
-        import os
-
         if os.path.exists(spec):
             return load_model(spec, tol=_tolerance(args))
         raise
@@ -160,11 +155,7 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
             rows = report.get(section, [])
             lines.append(f"## {section}")
             if rows:
-                columns: list[str] = []
-                for row in rows:
-                    for key in row:
-                        if key not in columns:
-                            columns.append(key)
+                columns = list(dict.fromkeys(key for row in rows for key in row))
                 lines.append(",".join(columns))
                 for row in rows:
                     lines.append(
@@ -245,8 +236,6 @@ def _cmd_models(args, report, m: QGModel | None) -> None:
 
 def _cmd_dims(args, report, m: QGModel) -> None:
     ts = _parse_floats(args.t)
-    from .dimensions import dim_t
-
     for label in _labels_arg(m, args.labels):
         row = {"label": label, "dim": m.dim(label)}
         for t in ts:
@@ -506,15 +495,9 @@ def _cmd_explore_main_theorem(args, report, m: QGModel) -> None:
 
 def _cmd_explore_corollary_6_5(args, report, m: QGModel) -> None:
     word = []
-    for token in str(args.word).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            label, _, power = token.partition(":")
-            word.append((label.strip(), int(power)))
-        else:
-            word.append((token, 1))
+    for token in filter(None, (t.strip() for t in str(args.word).split(","))):
+        label, colon, power = token.partition(":")
+        word.append((label.strip(), int(power) if colon else 1))
     result = corollary_6_5_probe(m, word, bound=args.bound, budget=args.budget)
     report["results"].append(result)
     if result.get("witness") is not None:

@@ -118,8 +118,8 @@ def growth_inequality_check(
         raise PreconditionError("growth inequality is stated for t > 1")
     s = m.rho(alpha)
     pn = p_n(m, alpha, n)
-    log_dt = math.log(dim_t(s, t))
-    log_dmt = math.log(dim_t(s, -t))
+    key = ("log-d_t", alpha, t)  # both logs, once per model, label and t
+    log_dt, log_dmt = m._memo(key, lambda: (math.log(dim_t(s, t)), math.log(dim_t(s, -t))))
     log_p = math.log(pn)
     slack = tol.abs + tol.rel
     lhs_log = n * log_dt

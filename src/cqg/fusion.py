@@ -8,9 +8,10 @@ product, and the multiplicity reciprocity report.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import ModelConsistencyError, PreconditionError
+from .errors import ModelConsistencyError, PreconditionError, TruncationError
 from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance, _frobenius_mismatches
 
 
@@ -41,35 +42,46 @@ class Decomposition:
 
 
 def _canonical(m: QGModel, counts: dict[str, int]) -> Decomposition:
-    ordered = tuple((label, counts[label]) for label in m.labels if counts.get(label, 0) > 0)
-    return Decomposition(components=ordered)
+    return Decomposition(tuple((x, counts[x]) for x in m.labels if counts.get(x, 0) > 0))
 
 
 def decompose(m: QGModel, beta: str, gamma: str) -> Decomposition:
     """Decomposition of beta x gamma; the pair must be ingested."""
     m.irrep(beta)
     m.irrep(gamma)
-    row = m.fusion.components(beta, gamma)
-    return _canonical(m, row)
+    return _canonical(m, m.fusion.components(beta, gamma))
+
+
+def _fuse(m: QGModel, terms: Iterable[tuple[str, int]], right: str) -> dict[str, int]:
+    """Multiplicities of (sum of mult x label over terms) x right, in first-seen order."""
+    counts: dict[str, int] = {}
+    for label, mult in terms:
+        for comp, sub in m.fusion.components(label, right).items():
+            counts[comp] = counts.get(comp, 0) + mult * sub
+    return counts
 
 
 def tensor_power_decompose(m: QGModel, alpha: str, n: int) -> Decomposition:
     """Decomposition of the n-th tensor power, associating to the left.
 
     Dynamic programming over the fusion table: the power at n + 1 is the
-    fusion convolution of the power at n with alpha.  Intermediate results
-    are kept in the model's store.
+    fusion convolution of the power at n with alpha.  The model's store keeps
+    each power and the fragment edge, as the message and pair of the first
+    absent pair (not the exception: its traceback would pin the model), so a
+    power past the edge raises an equal TruncationError at once.
     """
     if n < 1:
         raise PreconditionError("tensor power exponent n must be >= 1")
     m.irrep(alpha)
-    powers = m._memo(("tensor-power", alpha), lambda: [_canonical(m, {alpha: 1})])
+    powers, edge = m._memo(("tensor-power", alpha), lambda: ([_canonical(m, {alpha: 1})], []))
+    if edge and len(powers) < n:
+        raise TruncationError(*edge)
     while len(powers) < n:  # powers[k - 1] is the k-th power
-        counts: dict[str, int] = {}
-        for label, mult in powers[-1].components:
-            for comp, sub in m.fusion.components(label, alpha).items():
-                counts[comp] = counts.get(comp, 0) + mult * sub
-        powers.append(_canonical(m, counts))
+        try:
+            powers.append(_canonical(m, _fuse(m, powers[-1].components, alpha)))
+        except TruncationError as exc:
+            edge[:] = str(exc), exc.pair
+            raise
     return powers[n - 1]
 
 

@@ -26,7 +26,6 @@ from .errors import (
     ModelConsistencyError,
     ModelSchemaError,
     PreconditionError,
-    TruncationError,
 )
 from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance
 
@@ -791,7 +790,7 @@ def supplement_cg_provider(raw: Any):
     """Provider backed by the optional "cg" array of a model document.
 
     Each entry: {"alpha", "beta", "gamma", "i", "coeffs": [[a, b, c, re, im], ...]}
-    with 0-based basis indices and 1-based copy index i.
+    with 0-based non-negative integer basis indices and 1-based copy index i.
     """
     if not isinstance(raw, list):
         raise ModelSchemaError("model field 'cg' must be a list")
@@ -841,11 +840,13 @@ def supplement_cg_provider(raw: Any):
             for a, b, c, re, im in coeffs:
                 ai, bi, ci = int(a), int(b), int(c)
                 try:
+                    if min(ai, bi, ci) < 0 or (ai, bi, ci) != (a, b, c):
+                        raise IndexError  # numpy would wrap a negative index, int() cuts a fraction
                     arr[bi, ci, ai] = complex(re, im)
                 except IndexError:
                     raise ModelSchemaError(
-                        f"'cg' coefficient index ({ai}, {bi}, {ci}) out of range for "
-                        f"({alpha!r}, {beta!r}, {gamma!r})"
+                        f"'cg' coefficient index ({a}, {b}, {c}) is not a non-negative integer "
+                        f"in range for ({alpha!r}, {beta!r}, {gamma!r})"
                     ) from None
             out.append((alpha, copy_index, arr))
         return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dimensions import symmetry_check
 from .errors import ModelConsistencyError, PreconditionError, TruncationError
-from .fusion import decompose
+from .fusion import _fuse
 from .intertwiners import C00Element
 from .rep_data import DEFAULT_TOLERANCE, QGModel, RhoSpectrum, Tolerance
 from .spectral import eigenspace_dim
@@ -575,32 +575,23 @@ def corollary_6_5_probe(
 
     The word is a list of (label, power) letters; negative powers mean the
     conjugate label.  The letters are cycled out to k total factors for
-    k = 2..budget and each product is decomposed; the first component (in
-    declaration order) with dimension > bound is the witness.
+    k = 2..budget, each product extending the previous one by one factor;
+    the first component (in declaration order) with dimension > bound is the
+    witness.
     """
     letters: list[str] = []
     for label, power in word:
-        label = str(label)
-        m.irrep(label)
+        label = m.irrep(str(label)).label
         count = int(power)
-        if count == 0:
-            continue
-        resolved = label if count > 0 else m.conjugate(label)
-        letters.extend([resolved] * abs(count))
+        letters += [label if count > 0 else m.conjugate(label)] * abs(count)
     if not letters:
         raise PreconditionError("the word must contain at least one nonzero-power letter")
     top = max(m.rho(label)[0] for label in letters)
     if DEFAULT_TOLERANCE.same_eigenvalue(top, 1.0):
         raise PreconditionError("the generator word has top eigenvalue 1 (Kac); no escape")
+    current = {letters[0]: 1}
     for k in range(2, int(budget) + 1):
-        factors = [letters[i % len(letters)] for i in range(k)]
-        current: dict[str, int] = {factors[0]: 1}
-        for nxt in factors[1:]:
-            merged: dict[str, int] = {}
-            for label, mult in current.items():
-                for comp, inner in m.fusion.components(label, nxt).items():
-                    merged[comp] = merged.get(comp, 0) + mult * inner
-            current = merged
+        current = _fuse(m, current.items(), letters[(k - 1) % len(letters)])
         for label in m.labels:
             if label in current and m.dim(label) > bound:
                 return {

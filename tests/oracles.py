@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from cqg.fusion import Decomposition
 from cqg.rep_data import DEFAULT_TOLERANCE, Tolerance, ValidationReport
 
 
@@ -570,3 +571,54 @@ def frobenius_walk_reference(m) -> list[tuple[str, str, str, int, int, str]]:
                     note(1, right, beta, label, 0, label, left, right, m2)
     found.sort(key=lambda item: item[0])
     return [mismatch for _, mismatch in found]
+
+
+def _declaration_order(m, counts: dict[str, int]) -> Decomposition:
+    return Decomposition(
+        tuple((label, counts[label]) for label in m.labels if counts.get(label, 0) > 0)
+    )
+
+
+def tensor_power_reference(m, alpha: str, n: int) -> Decomposition:
+    """The n-th tensor power of alpha folded from scratch, with no store.
+
+    Each power is the convolution of the previous one, in declaration order,
+    with alpha; an absent pair raises the fusion table's own TruncationError.
+    """
+    power = _declaration_order(m, {alpha: 1})
+    for _ in range(n - 1):
+        counts: dict[str, int] = {}
+        for label, mult in power.components:
+            for comp, sub in m.fusion.components(label, alpha).items():
+                counts[comp] = counts.get(comp, 0) + mult * sub
+        power = _declaration_order(m, counts)
+    return power
+
+
+def word_product_reference(m, letters: list[str], k: int) -> dict[str, int]:
+    """The product of the first k letters cycled out, rebuilt from its first factor."""
+    factors = [letters[i % len(letters)] for i in range(k)]
+    current: dict[str, int] = {factors[0]: 1}
+    for nxt in factors[1:]:
+        merged: dict[str, int] = {}
+        for label, mult in current.items():
+            for comp, inner in m.fusion.components(label, nxt).items():
+                merged[comp] = merged.get(comp, 0) + mult * inner
+        current = merged
+    return current
+
+
+def corollary_6_5_reference(m, word, bound: int, budget: int) -> dict:
+    """The corollary 6.5 search with every k-factor product rebuilt from scratch."""
+    letters = [
+        label if power > 0 else m.conjugate(label)
+        for label, power in word
+        for _ in range(abs(power))
+    ]
+    for k in range(2, budget + 1):
+        product = word_product_reference(m, letters, k)
+        for label in m.labels:
+            if label in product and m.dim(label) > bound:
+                dim = m.dim(label)
+                return {"outcome": "witness", "witness": label, "dim": dim, "factors_used": k}
+    return {"outcome": "exhausted", "witness": None, "budget": budget}

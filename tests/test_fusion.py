@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,55 @@ class TestTensorPower:
             tensor_power_decompose(suq2_half, "1", 0)
         with pytest.raises(TruncationError):
             tensor_power_decompose(suq2_half, "1", 9)
+
+
+def _outcome(call):
+    """The value of call(), or the message and pair of the TruncationError it raises."""
+    try:
+        return call(), None
+    except TruncationError as exc:
+        return None, (str(exc), exc.pair)
+
+
+POWER_MODELS = [
+    ("su_q_2", {"q": 0.5, "max_level": 12}),
+    ("su_q_2", {"q": 0.5, "max_level": 20}),
+    ("s3", {}),
+    ("cyclic7", {}),
+    ("free_orthogonal", {}),
+]
+
+
+@pytest.mark.parametrize("name, kwargs", POWER_MODELS)
+@pytest.mark.parametrize("order", ["rising", "falling"])
+def test_tensor_powers_equal_the_from_scratch_fold(name, kwargs, order):
+    # a fresh model per order: falling meets the fragment edge before any power is stored
+    m, reference = resolve_builtin(name, **kwargs), resolve_builtin(name, **kwargs)
+    ns = list(range(1, 26)) if order == "rising" else list(range(25, 0, -1))
+    truncated = 0
+    for alpha in m.labels:
+        for n in ns + ns:  # the second sweep reads every power and the edge back from the store
+            got = _outcome(lambda: tensor_power_decompose(m, alpha, n))
+            assert got == _outcome(lambda: oracles.tensor_power_reference(reference, alpha, n))
+            truncated += got[0] is None
+    assert (truncated > 0) == (name in ("su_q_2", "free_orthogonal"))
+
+
+def test_a_truncated_power_leaves_the_model_collectable():
+    # the stored edge must not hold the exception: its traceback pins frames that hold the model
+    model = resolve_builtin("su_q_2", q=0.5, max_level=8)
+    alive = weakref.ref(model)
+    gc.disable()
+    try:
+        for _ in range(2):  # the first call meets the edge, the second reads it back
+            try:
+                tensor_power_decompose(model, "1", 9)
+            except TruncationError:
+                pass
+        del model
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_p_n_values(suq2_half, s3_dual):

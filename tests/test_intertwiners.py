@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -585,6 +586,33 @@ class TestSupplementRoundTrip:
         reloaded = load_model(doc)
         with pytest.raises(ModelSchemaError):
             cg_set(reloaded, "1", "1")
+
+    @pytest.mark.parametrize(
+        "position, value",
+        [(0, -1), (1, -1), (2, -1), (1, -2.0), (0, 0.5), (1, 0.5), (2, 1.5), (2, -0.5)],
+    )
+    def test_negative_or_fractional_index_rejected(self, position, value):
+        # numpy would wrap -1 to the last basis vector and int() would cut 0.5 to 0
+        m = self._small_model()
+        doc = model_to_document(m)
+        doc["cg"] = cg_supplement_document(m, [("1", "1")])
+        row = doc["cg"][0]["coeffs"][0]
+        row[position] = value
+        reloaded = load_model(doc)
+        named = re.escape(f"index ({row[0]}, {row[1]}, {row[2]})")
+        with pytest.raises(ModelSchemaError, match=named):
+            cg_set(reloaded, "1", "1")
+
+    def test_integral_float_indices_load(self):
+        m = self._small_model()
+        doc = model_to_document(m)
+        doc["cg"] = cg_supplement_document(m, [("1", "1")])
+        for entry in doc["cg"]:
+            entry["coeffs"] = [[*map(float, row[:3]), *row[3:]] for row in entry["coeffs"]]
+        got, want = cg_set(load_model(doc), "1", "1"), cg_set(m, "1", "1")
+        assert [(t.alpha, t.copy_index) for t in got] == [(t.alpha, t.copy_index) for t in want]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
 class TestVerifiedStore:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cqg import kac_degree
 from cqg.errors import ModelConsistencyError, PreconditionError, TruncationError
+from cqg.fusion import _fuse
 from cqg.intertwiners import C00Element
 from cqg.kac_degree import (
     SequenceStep,
@@ -442,3 +443,41 @@ class TestCorollaryProbe:
         # the conjugate resolves, but its fusion row is not ingested
         with pytest.raises(TruncationError):
             corollary_6_5_probe(free_orth, [("f", -2)], bound=1, budget=4)
+
+
+def _probe_outcome(probe, m, word, bound, budget):
+    try:
+        return probe(m, word, bound=bound, budget=budget)
+    except TruncationError as exc:
+        return str(exc), exc.pair
+
+
+class TestCorollaryAgainstRebuiltProducts:
+    """Each k-factor product extends the previous one; the outcome is that of rebuilding it."""
+
+    @pytest.mark.parametrize(
+        "word, bound, budget, outcome",
+        [
+            ([("1", 1)], 10, 30, "witness"),
+            ([("1", 1)], 100, 15, "exhausted"),
+            ([("1", 1)], 100, 30, "truncated"),
+            ([("1", 2), ("2", -1)], 12, 30, "witness"),
+            ([("2", -1), ("1", 3)], 100, 40, "truncated"),
+            ([("3", 1), ("1", -2)], 100, 6, "exhausted"),
+        ],
+    )
+    def test_outcome_equals_the_rebuilt_search(self, word, bound, budget, outcome):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=20)
+        got = _probe_outcome(corollary_6_5_probe, m, word, bound, budget)
+        assert got == _probe_outcome(oracles.corollary_6_5_reference, m, word, bound, budget)
+        assert (got["outcome"] if isinstance(got, dict) else "truncated") == outcome
+
+    def test_word_products_equal_the_rebuilt_ones_in_order(self):
+        # cyclic7 conjugates 3 to 4, so the negative power changes the letter
+        m = resolve_builtin("cyclic7")
+        letters = ["1", "1", m.conjugate("3"), "5"]
+        current = {letters[0]: 1}
+        for k in range(2, 30):
+            current = _fuse(m, current.items(), letters[(k - 1) % len(letters)])
+            rebuilt = oracles.word_product_reference(m, letters, k)
+            assert list(current.items()) == list(rebuilt.items())

@@ -233,6 +233,26 @@ def test_quantum_dimension_bound_decides_like_the_walk():
     assert verdicts == [True, False, False]
 
 
+@pytest.mark.parametrize("relative", [False, True])
+def test_conjugate_spectrum_bound_decides_like_the_walk(relative):
+    # fbar's top entry moved off the inverse of f's bottom one, with a tolerance on the
+    # residual and one float step either side, as an absolute or as a relative bound
+    m = resolve_builtin("free_orthogonal", f_diag=[1.0, 1.0, 2.0])
+    f, fbar = m.irrep("f"), m.irrep("fbar")
+    moved = RhoSpectrum((fbar.rho[0] * (1 + 1e-7), *fbar.rho.eigenvalues[1:]))
+    m = dataclasses.replace(m, irreps=(m.irreps[0], f, dataclasses.replace(fbar, rho=moved)))
+    x, y = moved[0], f.rho.conjugate()[0]
+    residual, size = abs(x - y), max(abs(x), abs(y))
+    verdicts = []
+    for bound in (np.nextafter(residual, 0.0), residual, np.nextafter(residual, 1.0)):
+        bound = float(bound)
+        tol = Tolerance(abs=0.0, rel=bound / size) if relative else Tolerance(abs=bound, rel=0.0)
+        issues = _assert_same_as_the_walk(m, tol)
+        flagged = [i.labels for i in issues if i.invariant == "conjugate-spectrum"]
+        verdicts.append(("f", "fbar") in flagged)
+    assert verdicts[0] and not verdicts[2]
+
+
 @pytest.mark.parametrize("level", range(13))
 def test_array_built_su_q_2_rows_equal_the_dict_built_rows(level):
     m = builtin_su_q_2(0.5, level)
