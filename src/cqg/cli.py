@@ -8,6 +8,7 @@ digits and identical invocations (same seed) produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,7 +62,7 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_ints(text: str) -> list[int]:
     values = _parse_floats(text)
-    if any(v != int(v) for v in values):
+    if not all(v.is_integer() for v in values):  # nan and inf are not integers either
         raise PreconditionError(f"expected integers, got {text!r}")
     return [int(v) for v in values]
 
@@ -99,18 +100,28 @@ def _round12(value: Any) -> Any:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json12(value: Any, indent: str = "") -> str:
+def _json12(value: Any, indent: str = "", floats: dict[float, str] | None = None) -> str:
     """``json.dumps(_round12(value), indent=2)``, rounded and encoded in one walk.
 
     ``indent`` is the indentation of the line value starts on.  Exact types
     only: anything else (numpy scalars, subclasses, complex values) takes
     the two-step route, so both routes give the same text for every input.
+    ``floats`` maps each nonzero finite float met so far in this call to its
+    text, so each distinct float is formatted once; zeros stay out of it,
+    since 0.0 and -0.0 are one key but two texts.
     """
+    if floats is None:
+        floats = {}
     kind = type(value)
     if kind is float:
-        if math.isfinite(value):
-            return repr(float(f"{value:.12g}"))
-        return _encode_str(str(value))
+        text = floats.get(value)
+        if text is None:
+            if not math.isfinite(value):
+                return _encode_str(str(value))
+            text = repr(float(f"{value:.12g}"))
+            if value:
+                floats[value] = text
+        return text
     if kind is str:
         return _encode_str(value)
     if kind is bool:
@@ -126,12 +137,12 @@ def _json12(value: Any, indent: str = "") -> str:
         if not all(type(k) is str for k in value):
             # str() of distinct keys may coincide; the later value wins, as in _round12
             value = {str(k): v for k, v in value.items()}
-        items = [f"{_encode_str(k)}: {_json12(v, inner)}" for k, v in value.items()]
+        items = [f"{_encode_str(k)}: {_json12(v, inner, floats)}" for k, v in value.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        items = [_json12(v, inner) for v in value]
+        items = [_json12(v, inner, floats) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     return json.dumps(_round12(value), indent=2).replace("\n", "\n" + indent)
 
@@ -497,7 +508,10 @@ def _cmd_explore_corollary_6_5(args, report, m: QGModel) -> None:
     word = []
     for token in filter(None, (t.strip() for t in str(args.word).split(","))):
         label, colon, power = token.partition(":")
-        word.append((label.strip(), int(power) if colon else 1))
+        try:
+            word.append((label.strip(), int(power) if colon else 1))
+        except ValueError:
+            raise PreconditionError(f"--word letter {token!r} needs an integer power") from None
     result = corollary_6_5_probe(m, word, bound=args.bound, budget=args.budget)
     report["results"].append(result)
     if result.get("witness") is not None:
@@ -530,6 +544,7 @@ _VERIFY = {
 _EXPLORE = {"main-theorem": _cmd_explore_main_theorem, "corollary-6.5": _cmd_explore_corollary_6_5}
 
 
+@functools.cache  # fixed configuration: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", help="builtin name, builtin:<name>, or a model JSON path")

@@ -114,7 +114,7 @@ def growth_inequality_check(
     """
     if n < 1:
         raise PreconditionError("tensor power exponent n must be >= 1")
-    if t <= 1:
+    if not 1 < t < math.inf:  # nan fails both comparisons
         raise PreconditionError("growth inequality is stated for t > 1")
     s = m.rho(alpha)
     pn = p_n(m, alpha, n)

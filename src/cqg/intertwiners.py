@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -618,6 +619,12 @@ def _rho_descending_order(n: int, q: float) -> list[int]:
     return list(range(n, -1, -1))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices: the same products, without its generic set-up."""
+    n, m = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+
+
 def _suq2_pair_tensors(n1: int, n2: int, q: float) -> list[tuple[str, int, np.ndarray]]:
     """CG isometries for the pair of labels (n1, n2) of the q-deformed SU(2) series.
 
@@ -634,8 +641,8 @@ def _suq2_pair_tensors(n1: int, n2: int, q: float) -> list[tuple[str, int, np.nd
     """
     k1, e1, f1, w1 = _weight_module(n1, q)
     k2, e2, f2, w2 = _weight_module(n2, q)
-    raise_full = np.kron(e1, np.diag(k2)) + np.kron(np.diag(1.0 / k1), e2)
-    lower_full = np.kron(f1, np.diag(k2)) + np.kron(np.diag(1.0 / k1), f2)
+    raise_full = _kron(e1, np.diag(k2)) + _kron(np.diag(1.0 / k1), e2)
+    lower_full = _kron(f1, np.diag(k2)) + _kron(np.diag(1.0 / k1), f2)
     total_twice = np.rint(2.0 * np.add.outer(w1, w2).reshape(-1)).astype(int)
     perm1 = _rho_descending_order(n1, q)
     perm2 = _rho_descending_order(n2, q)
@@ -786,6 +793,33 @@ class GroupAverageCGProvider:
 # JSON CG supplement
 
 
+def _check_cg_rows(rows: list) -> None:
+    """Require every row to be a list of five finite numbers, bools excluded.
+
+    C-level passes over all rows prove the common case (exact list rows of
+    exact ints and finite floats); only when they cannot does the row walk
+    run, naming the first fault in document order.
+    """
+    try:
+        if (
+            set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {5}
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}
+            and all(map(math.isfinite, chain.from_iterable(rows)))
+        ):
+            return
+    except OverflowError:  # an int too large for a float: not proven, the walk decides
+        pass
+    for rowv in rows:
+        if not isinstance(rowv, list) or len(rowv) != 5:
+            raise ModelSchemaError("'cg' coeffs rows must be [a, b, c, re, im] numbers")
+        for v in rowv:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ModelSchemaError("'cg' coeffs rows must be [a, b, c, re, im] numbers")
+        if not all(isinstance(v, int) or math.isfinite(v) for v in rowv):
+            raise ModelSchemaError("'cg' coeffs rows must hold finite numbers")
+
+
 def supplement_cg_provider(raw: Any):
     """Provider backed by the optional "cg" array of a model document.
 
@@ -795,36 +829,31 @@ def supplement_cg_provider(raw: Any):
     if not isinstance(raw, list):
         raise ModelSchemaError("model field 'cg' must be a list")
     data: dict[tuple[str, str], list[tuple[str, int, list]]] = {}
+    coeff_lists: list[list] = []
+    fault: Exception | None = None
     for entry in raw:
-        if not isinstance(entry, Mapping):
-            raise ModelSchemaError("each 'cg' entry must be an object")
         try:
-            alpha = str(entry["alpha"])
-            beta = str(entry["beta"])
-            gamma = str(entry["gamma"])
-            copy_index = int(entry["i"])
-            coeffs = entry["coeffs"]
-        except KeyError as exc:
-            raise ModelSchemaError(f"'cg' entry missing field {exc}") from exc
-        if not isinstance(coeffs, list):
-            raise ModelSchemaError("'cg' coeffs must be a list of [a, b, c, re, im] rows")
-        for rowv in coeffs:
-            if (
-                not isinstance(rowv, list)
-                or len(rowv) != 5
-                or not all(
-                    isinstance(v, float) and math.isfinite(v)
-                    or isinstance(v, int) and not isinstance(v, bool)
-                    for v in rowv
-                )
-            ):
-                # one pass over the row on the common path; name the fault only on failure
-                if isinstance(rowv, list) and len(rowv) == 5 and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in rowv
-                ):
-                    raise ModelSchemaError("'cg' coeffs rows must hold finite numbers")
-                raise ModelSchemaError("'cg' coeffs rows must be [a, b, c, re, im] numbers")
+            if not isinstance(entry, Mapping):
+                raise ModelSchemaError("each 'cg' entry must be an object")
+            try:
+                alpha = str(entry["alpha"])
+                beta = str(entry["beta"])
+                gamma = str(entry["gamma"])
+                copy_index = int(entry["i"])
+                coeffs = entry["coeffs"]
+            except KeyError as exc:
+                raise ModelSchemaError(f"'cg' entry missing field {exc}") from exc
+            if not isinstance(coeffs, list):
+                raise ModelSchemaError("'cg' coeffs must be a list of [a, b, c, re, im] rows")
+        except (ModelSchemaError, ValueError, TypeError, OverflowError) as exc:
+            # int(entry["i"]) can raise the last three; rows before this entry are checked first
+            fault = exc
+            break
+        coeff_lists.append(coeffs)
         data.setdefault((beta, gamma), []).append((alpha, copy_index, coeffs))
+    _check_cg_rows(list(chain.from_iterable(coeff_lists)))
+    if fault is not None:
+        raise fault
 
     def provider(model: QGModel, beta: str, gamma: str) -> list[tuple[str, int, np.ndarray]]:
         items = data.get((beta, gamma))
@@ -859,10 +888,10 @@ def cg_supplement_document(m: QGModel, pairs: Iterable[tuple[str, str]]) -> list
     entries: list[dict] = []
     for beta, gamma in _canonical_pairs(m, pairs):
         for t in cg_set(m, beta, gamma):
-            rows = []
-            for b, c, a in zip(*np.nonzero(t.coeffs)):  # C order: rows sorted by (b, c, a)
-                v = t.coeffs[b, c, a]
-                rows.append([int(a), int(b), int(c), float(v.real), float(v.imag)])
+            b, c, a = np.nonzero(t.coeffs)  # C order: rows sorted by (b, c, a)
+            v = t.coeffs[b, c, a]
+            columns = (a.tolist(), b.tolist(), c.tolist(), v.real.tolist(), v.imag.tolist())
+            rows = list(map(list, zip(*columns)))
             entries.append(
                 {
                     "alpha": t.alpha,

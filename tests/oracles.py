@@ -622,3 +622,59 @@ def corollary_6_5_reference(m, word, bound: int, budget: int) -> dict:
                 dim = m.dim(label)
                 return {"outcome": "witness", "witness": label, "dim": dim, "factors_used": k}
     return {"outcome": "exhausted", "witness": None, "budget": budget}
+
+
+def supplement_rows_reference(raw) -> dict:
+    """Load-time checks of a document's "cg" supplement as one walk in document order.
+
+    Every entry's fields, then every value of every coefficient row, checked
+    one at a time; returns {(beta, gamma): [(alpha, i, coeffs), ...]} or
+    raises the library's ModelSchemaError with its message.
+    """
+    from collections.abc import Mapping
+
+    from cqg.errors import ModelSchemaError
+
+    if not isinstance(raw, list):
+        raise ModelSchemaError("model field 'cg' must be a list")
+    data: dict = {}
+    for entry in raw:
+        if not isinstance(entry, Mapping):
+            raise ModelSchemaError("each 'cg' entry must be an object")
+        try:
+            alpha = str(entry["alpha"])
+            beta = str(entry["beta"])
+            gamma = str(entry["gamma"])
+            copy_index = int(entry["i"])
+            coeffs = entry["coeffs"]
+        except KeyError as exc:
+            raise ModelSchemaError(f"'cg' entry missing field {exc}") from exc
+        if not isinstance(coeffs, list):
+            raise ModelSchemaError("'cg' coeffs must be a list of [a, b, c, re, im] rows")
+        for rowv in coeffs:
+            numbers = isinstance(rowv, list) and len(rowv) == 5 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in rowv
+            )
+            if not numbers:
+                raise ModelSchemaError("'cg' coeffs rows must be [a, b, c, re, im] numbers")
+            if not all(isinstance(v, int) or math.isfinite(v) for v in rowv):
+                raise ModelSchemaError("'cg' coeffs rows must hold finite numbers")
+        data.setdefault((beta, gamma), []).append((alpha, copy_index, coeffs))
+    return data
+
+
+def supplement_document_reference(m, pairs) -> list[dict]:
+    """The "cg" supplement built one nonzero coefficient at a time, rows in (b, c, a) order."""
+    from cqg.intertwiners import _canonical_pairs, cg_set
+
+    entries = []
+    for beta, gamma in _canonical_pairs(m, pairs):
+        for t in cg_set(m, beta, gamma):
+            rows = []
+            for b, c, a in zip(*np.nonzero(t.coeffs)):
+                v = t.coeffs[b, c, a]
+                rows.append([int(a), int(b), int(c), float(v.real), float(v.imag)])
+            entries.append(
+                {"alpha": t.alpha, "beta": beta, "gamma": gamma, "i": t.copy_index, "coeffs": rows}
+            )
+    return entries

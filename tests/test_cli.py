@@ -6,6 +6,7 @@ the installed entry point behaves the same way.
 
 from __future__ import annotations
 
+import argparse
 import enum
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqg import resolve_builtin
+from cqg import cli
 from cqg.cli import _json12, _round12, main
 from cqg.rep_data import Tolerance, model_to_document
 from cqg.spectral import spectral_grid, verify_theorem_5_3
@@ -231,6 +233,14 @@ class TestExitCodeTwo:
             (("spectra", "--q", "nan"), "q=nan"),
             (("spectra", "--q", "inf"), "q=inf"),
             (("spectra", "--q", "1e-80", "--max-level", "6"), "max_level=6"),
+            (("explore", "corollary-6.5", "--word", "1:x"), "'1:x'"),
+            (("explore", "corollary-6.5", "--word", "1:2,1:1.5"), "'1:1.5'"),
+            (("verify", "growth", "--model", "s3", "--n", "1,inf"), "'1,inf'"),
+            (("verify", "growth", "--model", "s3", "--n", "nan"), "'nan'"),
+            (("verify", "growth", "--max-level", "6", "--n", "1", "--t", "nan", "--alpha", "1"),
+             "t > 1"),
+            (("verify", "growth", "--max-level", "6", "--n", "1", "--t", "inf", "--alpha", "1"),
+             "t > 1"),
         ],
     )
     def test_usage_errors(self, capsys, argv, needle):
@@ -354,6 +364,38 @@ class TestJsonWriter:
         assert _json12(value) == json.dumps(_round12(value), indent=2)
 
     @pytest.mark.parametrize(
+        "value",
+        [
+            [0.0, -0.0, 0.0, -0.0, 1.5, -0.0, 0.0],
+            [-0.0, 0.0, {"a": -0.0, "b": 0.0, "c": [0.0, -0.0]}],
+            [0.1, 0.1, 1 / 3, {"x": 1 / 3, "y": [0.1, 1 / 3]}, 1 / 3, -0.1],
+            [1, 1.0, True, 1.0, 1, 2.0, 2, 1e-300, 1e-300, 1.23456789012345e17],
+            [float("nan"), 2.5, float("inf"), 2.5, -float("inf"), float("nan")],
+        ],
+    )
+    def test_zeros_and_repeated_floats(self, value):
+        assert _json12(value) == json.dumps(_round12(value), indent=2)
+
+    def test_calls_share_no_float_texts(self, monkeypatch):
+        tables = []
+        real = cli._json12
+
+        def spy(value, indent="", floats=None):
+            tables.append((indent, floats, dict(floats or {})))
+            return real(value, indent, floats)
+
+        monkeypatch.setattr(cli, "_json12", spy)
+        first, second = [0.25, [0.25, -0.0], 0.5], [0.5, 0.0, 0.25]
+        assert cli._json12(first) == json.dumps(first, indent=2)
+        assert cli._json12(second) == json.dumps(second, indent=2)
+        starts = [k for k, (indent, _, _) in enumerate(tables) if indent == ""]
+        assert starts == [0, 6] and tables[0][1] is None and tables[6][1] is None
+        table1, table2 = tables[1][1], tables[7][1]
+        assert table1 is not table2
+        assert tables[7][2] == {}  # the second call starts from nothing
+        assert table1 == {0.25: "0.25", 0.5: "0.5"}  # zeros never enter a table
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("models",),
@@ -378,6 +420,49 @@ class TestJsonWriter:
         _, out, err = run_cli(capsys, *argv, "--format", "json")
         assert err == ""
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _help_texts(parser) -> dict[str, str]:
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    texts = {name: sub.format_help() for name, sub in subparsers.choices.items()}
+    texts[""] = parser.format_help()
+    return texts
+
+
+class TestParserBuiltOnce:
+    """main() reuses one parser per process; it must behave as a fresh one would."""
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_help_text_of_every_subcommand_matches_a_fresh_parser(self, capsys):
+        fresh = _help_texts(cli._build_parser.__wrapped__())
+        assert set(fresh) == {"", "models", "dims", "spectra", "fusion", "cg", "verify", "kac",
+                              "bounded-degree", "explore", "export"}
+        assert _help_texts(cli._build_parser()) == fresh
+        for name, text in fresh.items():
+            with pytest.raises(SystemExit) as stop:
+                main([name, "--help"] if name else ["--help"])
+            assert stop.value.code == 0
+            assert capsys.readouterr().out == text
+
+    SEQUENCE = [
+        ("verify", "growth", "--model", "su_q_2", "--max-level", "4", "--n", "1,2", "--t", "3"),
+        ("dims", "--model", "s3", "--t", "0,2", "--format", "csv"),
+        ("verify", "symmetry", "--model", "free_orthogonal", "--f-diag", "1,1,2"),
+        ("explore", "corollary-6.5", "--model", "su_q_2", "--bound", "2"),
+        ("fusion", "--model", "cyclic5", "--left", "1", "--right", "2", "--format", "json"),
+        ("cg", "--model", "s3"),
+        ("kac", "--model", "su_q_2", "--max-level", "3"),
+        ("dims", "--model", "su_q_2", "--max-level", "2"),
+    ]
+
+    def test_successive_calls_match_fresh_parsers(self, capsys, monkeypatch):
+        reused = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 2, 0, 0]
 
 
 class TestExportRoundTrip:

@@ -174,6 +174,11 @@ class TestGrowthInequality:
         with pytest.raises(PreconditionError):
             growth_inequality_check(suq2_half, "1", 1, 1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_refused_like_t_at_most_one(self, suq2_half, t):
+        with pytest.raises(PreconditionError, match=r"stated for t > 1"):
+            growth_inequality_check(suq2_half, "1", 1, t)
+
 
 @given(
     st.lists(positive, min_size=1, max_size=5),

@@ -615,6 +615,115 @@ class TestSupplementRoundTrip:
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
+class _Row(list):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def _load_outcome(load, raw):
+    try:
+        load(raw)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return "accepted"
+
+
+def _set(entry: int, row: int, slot: int, value):
+    return lambda cg: cg[entry]["coeffs"][row].__setitem__(slot, value)
+
+
+def _both(*mutations):
+    return lambda cg: [mutate(cg) for mutate in mutations]
+
+
+_NUMBERS = "rows must be [a, b, c, re, im] numbers"
+
+
+class TestSupplementRowsAgainstTheWalk:
+    """The bulk row proof and its fallback against the per-row walk of oracles.py."""
+
+    @pytest.mark.parametrize(
+        "mutate, expected",
+        [
+            (_set(1, 0, 3, True), _NUMBERS),
+            (_set(1, 0, 0, False), _NUMBERS),
+            (_set(1, 0, 4, "0.5"), _NUMBERS),
+            (_set(1, 0, 3, [0.5]), _NUMBERS),
+            (_set(1, 0, 4, None), _NUMBERS),
+            (_set(1, 0, 0, np.int64(0)), _NUMBERS),
+            (lambda cg: cg[1]["coeffs"][0].pop(), _NUMBERS),
+            (lambda cg: cg[1]["coeffs"][0].append(0.0), _NUMBERS),
+            (lambda cg: cg[1]["coeffs"].__setitem__(0, tuple(cg[1]["coeffs"][0])), _NUMBERS),
+            (lambda cg: cg[1]["coeffs"].__setitem__(0, None), _NUMBERS),
+            (_set(1, 0, 3, math.nan), "finite numbers"),
+            (_set(1, 0, 4, math.inf), "finite numbers"),
+            (_set(1, 0, 2, -math.inf), "finite numbers"),
+            (_set(1, 0, 4, 10**400), "accepted"),  # an int, so finite; the walk decides
+            (_set(1, 0, 0, -(10**400)), "accepted"),
+            (lambda cg: cg[1].update(coeffs=[[np.float64(v) for v in r] for r in cg[1]["coeffs"]]),
+             "accepted"),
+            (_set(1, 0, 4, np.float64(math.nan)), "finite numbers"),
+            (lambda cg: cg[1].update(coeffs=[_Row(r) for r in cg[1]["coeffs"]]), "accepted"),
+            (_set(1, 0, 0, _Int(0)), "accepted"),
+            (lambda cg: cg[1].update(coeffs=[]), "accepted"),
+            (lambda cg: None, "accepted"),
+            # the first fault in document order wins, whichever check finds it
+            (_both(_set(1, 0, 3, "x"), lambda cg: cg[4].pop("i")), _NUMBERS),
+            (_both(lambda cg: cg[1].pop("i"), _set(4, 0, 3, "x")), "missing field 'i'"),
+            (_both(_set(1, 0, 3, math.nan), lambda cg: cg.append("nonsense")), "finite numbers"),
+            (_both(_set(1, 0, 3, math.nan), lambda cg: cg[4].update(coeffs="nope")), "finite"),
+            (_both(_set(1, 0, 3, math.nan), lambda cg: cg[4].update(i="x")), "finite numbers"),
+            (_both(_set(1, 0, 3, math.nan), lambda cg: cg[4].update(i=None)), "finite numbers"),
+            (_both(_set(1, 0, 3, "x"), lambda cg: cg[4].update(i=math.inf)), _NUMBERS),
+            (_both(lambda cg: cg[1].update(i="x"), _set(4, 0, 3, math.nan)), "invalid literal"),
+            (_both(_set(1, 0, 3, math.nan), _set(1, 1, 3, "x")), "finite numbers"),
+            (_both(_set(1, 0, 3, "x"), _set(1, 1, 3, math.nan)), _NUMBERS),
+            (_both(_set(1, 1, 3, math.inf), _set(2, 0, 3, True)), "finite numbers"),
+        ],
+    )
+    def test_same_verdict_and_message_as_the_walk(self, mutate, expected):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=3)
+        cg = oracles.supplement_document_reference(m, m.fusion.pairs())
+        assert len(cg) >= 5 and all(len(e["coeffs"]) >= 2 for e in cg[1:3])
+        mutate(cg)
+        got = _load_outcome(intertwiners.supplement_cg_provider, cg)
+        assert got == _load_outcome(oracles.supplement_rows_reference, cg)
+        assert expected in (got if got == "accepted" else got[1])
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("su_q_2", {"q": 0.5, "max_level": 8}),
+            ("su_q_2", {"q": 2.0, "max_level": 6}),
+            ("s3", {}),
+            ("free_orthogonal", {"f_diag": [1.0, 1.0, 2.0]}),
+        ],
+    )
+    def test_exported_rows_match_the_walk(self, name, kwargs):
+        m = resolve_builtin(name, **kwargs)
+        pairs = sorted(p for p in m.fusion.pairs() if name != "free_orthogonal" or m.trivial in p)
+        got = cg_supplement_document(m, pairs)
+        want = oracles.supplement_document_reference(m, pairs)
+        assert got == want
+        assert repr(got) == repr(want)  # the same int and float types, and the same signed zeros
+        assert sum(len(e["coeffs"]) for e in got) > 0
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 2.0, 10.0])
+    def test_kron_is_numpy_kron_bit_for_bit(self, q):
+        for n1 in range(7):
+            k1, e1, f1, _ = intertwiners._weight_module(n1, q)
+            for n2 in range(7):
+                k2, e2, f2, _ = intertwiners._weight_module(n2, q)
+                for a, b in ((e1, np.diag(k2)), (np.diag(1.0 / k1), e2),
+                             (f1, np.diag(k2)), (np.diag(1.0 / k1), f2)):
+                    got, want = intertwiners._kron(a, b), np.kron(a, b)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
 class TestVerifiedStore:
     """cg_set builds and verifies each pair once per model and holds every call to its own bound."""
 
