@@ -7,7 +7,6 @@ product, and the multiplicity reciprocity report.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -105,7 +104,7 @@ def gamma_top_components(
     hits = tuple(
         (label, mult)
         for label, mult in dec.components
-        if abs(math.log(m.rho(label)[0]) - math.log(product_top)) <= tol.eigen_group
+        if tol.same_eigenvalue(m.rho(label)[0], product_top)
     )
     if not hits:
         raise ModelConsistencyError(

@@ -808,7 +808,7 @@ def _check_cg_rows(rows: list) -> None:
             and all(map(math.isfinite, chain.from_iterable(rows)))
         ):
             return
-    except OverflowError:  # an int too large for a float: not proven, the walk decides
+    except OverflowError:  # an int too large for a float: the walk names the first fault
         pass
     for rowv in rows:
         if not isinstance(rowv, list) or len(rowv) != 5:
@@ -816,7 +816,11 @@ def _check_cg_rows(rows: list) -> None:
         for v in rowv:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ModelSchemaError("'cg' coeffs rows must be [a, b, c, re, im] numbers")
-        if not all(isinstance(v, int) or math.isfinite(v) for v in rowv):
+        try:
+            finite = all(map(math.isfinite, rowv))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ModelSchemaError("'cg' coeffs rows must hold finite numbers")
 
 
@@ -839,15 +843,19 @@ def supplement_cg_provider(raw: Any):
                 alpha = str(entry["alpha"])
                 beta = str(entry["beta"])
                 gamma = str(entry["gamma"])
-                copy_index = int(entry["i"])
+                i = entry["i"]
+                if isinstance(i, float) and i.is_integer():
+                    i = int(i)
+                if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+                    raise ModelSchemaError("'cg' entry field 'i' must be an integer >= 1")
+                copy_index = int(i)
                 coeffs = entry["coeffs"]
             except KeyError as exc:
                 raise ModelSchemaError(f"'cg' entry missing field {exc}") from exc
             if not isinstance(coeffs, list):
                 raise ModelSchemaError("'cg' coeffs must be a list of [a, b, c, re, im] rows")
-        except (ModelSchemaError, ValueError, TypeError, OverflowError) as exc:
-            # int(entry["i"]) can raise the last three; rows before this entry are checked first
-            fault = exc
+        except ModelSchemaError as exc:
+            fault = exc  # raised after the rows of the entries before this one are checked
             break
         coeff_lists.append(coeffs)
         data.setdefault((beta, gamma), []).append((alpha, copy_index, coeffs))

@@ -28,6 +28,7 @@ from .rep_data import (
     QGModel,
     RhoSpectrum,
     Tolerance,
+    _raise_if_failed,
     normalize_rho,
     validate_model,
 )
@@ -48,10 +49,7 @@ def rho_defining_property_oracle(
 
 
 def _certify(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> QGModel:
-    report = validate_model(m, tol)
-    if not report.ok:
-        first = "; ".join(issue.message for issue in report.issues[:5])
-        raise ModelConsistencyError(f"built-in model {m.name!r} failed validation: {first}")
+    _raise_if_failed(validate_model(m, tol), f"built-in model {m.name!r}")
     return m
 
 

@@ -300,6 +300,14 @@ class ValidationReport:
         self.issues.append(ValidationIssue(invariant, tuple(labels), residual, message))
 
 
+def _raise_if_failed(report: ValidationReport, what: str) -> None:
+    """Raise ModelConsistencyError for a failed report, naming its first five issues."""
+    if not report.ok:
+        details = "; ".join(issue.message for issue in report.issues[:5])
+        more = "" if len(report.issues) <= 5 else f" (+{len(report.issues) - 5} more)"
+        raise ModelConsistencyError(f"{what} failed validation: {details}{more}")
+
+
 def _conjugate_spectra_off(m: QGModel, tol: Tolerance) -> list[bool]:
     """Per irrep, whether rho of its conjugate misses its inverse multiset (the reversed
     reciprocals) by the expression of ``Tolerance.close``, over all entries at once."""
@@ -647,10 +655,7 @@ def load_model_with_report(
     )
     report = validate_model(model, tol)
     report.scale_factors.update(scale_factors)
-    if not report.ok:
-        details = "; ".join(issue.message for issue in report.issues[:5])
-        more = "" if len(report.issues) <= 5 else f" (+{len(report.issues) - 5} more)"
-        raise ModelConsistencyError(f"model {name!r} failed validation: {details}{more}")
+    _raise_if_failed(report, f"model {name!r}")
     return model, report
 
 

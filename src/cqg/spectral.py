@@ -70,49 +70,23 @@ def tensor_projection_pairs(
     return pairs
 
 
-_TABLE_ENTRIES = 1 << 20  # bound on the pairwise grouping table held at once
-
-
-def _drop_grouped(
-    points: list[tuple[float, float]], eigen_group: float
-) -> list[tuple[float, float]]:
-    """points in order, less each one an earlier kept point groups with in both s and t.
-
-    The table of earlier points grouping with each point is built in blocks
-    of rows; only a row with such a point needs the in-order greedy pass.
-    """
-    log_s = np.array([math.log(s) for s, _ in points])
-    log_t = np.array([math.log(t) for _, t in points])
-    n = len(points)
-    keep = np.ones(n, dtype=bool)
-    block = max(1, _TABLE_ENTRIES // max(n, 1))
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        groups = (np.abs(log_s[rows, None] - log_s) <= eigen_group) & (
-            np.abs(log_t[rows, None] - log_t) <= eigen_group
-        )
-        groups &= np.tri(len(groups), n, start - 1, dtype=bool)  # earlier points only
-        for i in np.flatnonzero(groups.any(axis=1)):
-            keep[start + i] = not (groups[i] & keep).any()
-    return [point for point, kept in zip(points, keep) if kept]
-
-
 def spectral_grid(
     m: QGModel, alpha: str, beta: str, probes: int = 2, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> list[tuple[float, float]]:
     """All (s, t) with t in Sp(rho_beta) and s*t in Sp(rho_alpha), plus probe points.
 
     The grid exhausts the support of both twisted trace identities for the
-    pair (alpha, beta); the probes are deterministic off-support points where
-    both sides of both identities must vanish.  Sorted by (t, s) descending.
+    pair (alpha, beta), one point per pair of eigenvalue classes, sorted by
+    (t, s) descending; the probes are deterministic off-support points where
+    both sides of both identities must vanish.
     """
     s_alpha = m.rho(alpha)
     s_beta = m.rho(beta)
-    points: list[tuple[float, float]] = []
-    for t in distinct_eigenvalues(s_beta, tol):
-        for product in distinct_eigenvalues(s_alpha, tol):
-            points.append((product / t, t))
-    seen = _drop_grouped(points, tol.eigen_group)
+    points = [
+        (product / t, t)
+        for t in distinct_eigenvalues(s_beta, tol)
+        for product in distinct_eigenvalues(s_alpha, tol)
+    ]
 
     def off_support(s: float, t: float) -> bool:
         return eigenspace_dim(s_beta, t, tol) == 0 or eigenspace_dim(s_alpha, s * t, tol) == 0
@@ -126,8 +100,7 @@ def spectral_grid(
         if off_support(s * scale, t * scale):
             probe_points.append((s * scale, t * scale))
         k += 1
-    ordered = sorted(seen, key=lambda p: (-p[1], -p[0]))
-    return ordered + probe_points
+    return points + probe_points
 
 
 _CHUNK = 64  # points per batched stack, so temporaries stay bounded on large grids

@@ -645,7 +645,13 @@ def supplement_rows_reference(raw) -> dict:
             alpha = str(entry["alpha"])
             beta = str(entry["beta"])
             gamma = str(entry["gamma"])
-            copy_index = int(entry["i"])
+            copy_index = entry["i"]
+            whole = isinstance(copy_index, int) or (
+                isinstance(copy_index, float) and copy_index.is_integer()
+            )
+            if isinstance(copy_index, bool) or not whole or copy_index < 1:
+                raise ModelSchemaError("'cg' entry field 'i' must be an integer >= 1")
+            copy_index = int(copy_index)
             coeffs = entry["coeffs"]
         except KeyError as exc:
             raise ModelSchemaError(f"'cg' entry missing field {exc}") from exc
@@ -657,7 +663,11 @@ def supplement_rows_reference(raw) -> dict:
             )
             if not numbers:
                 raise ModelSchemaError("'cg' coeffs rows must be [a, b, c, re, im] numbers")
-            if not all(isinstance(v, int) or math.isfinite(v) for v in rowv):
+            try:
+                finite = all(math.isfinite(float(v)) for v in rowv)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise ModelSchemaError("'cg' coeffs rows must hold finite numbers")
         data.setdefault((beta, gamma), []).append((alpha, copy_index, coeffs))
     return data

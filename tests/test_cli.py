@@ -250,6 +250,42 @@ class TestExitCodeTwo:
         assert err.startswith("error:")
         assert needle in err
 
+    @pytest.mark.parametrize(
+        "plant, needle",
+        [
+            ('"x"', "field 'i'"),
+            ("null", "field 'i'"),
+            ("Infinity", "field 'i'"),
+            ("1.5", "field 'i'"),
+            ('"1"', "field 'i'"),
+            ("true", "field 'i'"),
+            ("0", "field 'i'"),
+            pytest.param("[0, 0, 0, 1" + "0" * 400 + ", 0.0]", "finite numbers", id="10**400"),
+        ],
+    )
+    def test_malformed_cg_document(self, capsys, tmp_path, plant, needle):
+        # a planted copy index, or a planted first row, of the (1, 1) entry
+        target = tmp_path / "model.json"
+        code, _, _ = run_cli(
+            capsys, "export", "--model", "su_q_2", "--max-level", "3",
+            "--include-cg", "--out", str(target),
+        )
+        assert code == 0
+        document = json.loads(target.read_text(encoding="utf-8"))
+        entry = next(e for e in document["cg"] if (e["beta"], e["gamma"]) == ("1", "1"))
+        if plant.startswith("["):
+            entry["coeffs"][0] = "PLANT"
+        else:
+            entry["i"] = "PLANT"
+        target.write_text(json.dumps(document).replace('"PLANT"', plant), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "cg", "--model", str(target), "--beta", "1", "--gamma", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert needle in err
+
     def test_missing_model_file(self, capsys, tmp_path):
         path = tmp_path / "missing.json"
         code, out, err = run_cli(capsys, "dims", "--model", str(path))

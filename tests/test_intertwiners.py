@@ -609,8 +609,10 @@ class TestSupplementRoundTrip:
         doc["cg"] = cg_supplement_document(m, [("1", "1")])
         for entry in doc["cg"]:
             entry["coeffs"] = [[*map(float, row[:3]), *row[3:]] for row in entry["coeffs"]]
+            entry["i"] = float(entry["i"])
         got, want = cg_set(load_model(doc), "1", "1"), cg_set(m, "1", "1")
         assert [(t.alpha, t.copy_index) for t in got] == [(t.alpha, t.copy_index) for t in want]
+        assert all(type(t.copy_index) is int for t in got)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
@@ -633,6 +635,10 @@ def _load_outcome(load, raw):
 
 def _set(entry: int, row: int, slot: int, value):
     return lambda cg: cg[entry]["coeffs"][row].__setitem__(slot, value)
+
+
+def _index(value):
+    return lambda cg: cg[1].update(i=value)
 
 
 def _both(*mutations):
@@ -661,8 +667,9 @@ class TestSupplementRowsAgainstTheWalk:
             (_set(1, 0, 3, math.nan), "finite numbers"),
             (_set(1, 0, 4, math.inf), "finite numbers"),
             (_set(1, 0, 2, -math.inf), "finite numbers"),
-            (_set(1, 0, 4, 10**400), "accepted"),  # an int, so finite; the walk decides
-            (_set(1, 0, 0, -(10**400)), "accepted"),
+            (_set(1, 0, 4, 10**400), "finite numbers"),  # an int too large for a float
+            (_set(1, 0, 0, -(10**400)), "finite numbers"),
+            (_set(1, 0, 3, 2**1023), "accepted"),  # the largest power of two a float holds
             (lambda cg: cg[1].update(coeffs=[[np.float64(v) for v in r] for r in cg[1]["coeffs"]]),
              "accepted"),
             (_set(1, 0, 4, np.float64(math.nan)), "finite numbers"),
@@ -678,10 +685,18 @@ class TestSupplementRowsAgainstTheWalk:
             (_both(_set(1, 0, 3, math.nan), lambda cg: cg[4].update(i="x")), "finite numbers"),
             (_both(_set(1, 0, 3, math.nan), lambda cg: cg[4].update(i=None)), "finite numbers"),
             (_both(_set(1, 0, 3, "x"), lambda cg: cg[4].update(i=math.inf)), _NUMBERS),
-            (_both(lambda cg: cg[1].update(i="x"), _set(4, 0, 3, math.nan)), "invalid literal"),
+            (_both(lambda cg: cg[1].update(i="x"), _set(4, 0, 3, math.nan)), "field 'i'"),
+            (_both(_set(1, 0, 3, 10**400), lambda cg: cg[4].update(i=0)), "finite numbers"),
+            (_both(lambda cg: cg[1].update(i=1.5), _set(1, 0, 3, math.nan)), "field 'i'"),
+            (_both(lambda cg: cg[1].update(i=None), lambda cg: cg[1].pop("coeffs")), "field 'i'"),
             (_both(_set(1, 0, 3, math.nan), _set(1, 1, 3, "x")), "finite numbers"),
             (_both(_set(1, 0, 3, "x"), _set(1, 1, 3, math.nan)), _NUMBERS),
             (_both(_set(1, 1, 3, math.inf), _set(2, 0, 3, True)), "finite numbers"),
+            # the copy index: an int >= 1 or an integral float, as for the basis indices
+            *((_index(v), "field 'i'") for v in ("x", "1", None, True, math.inf, math.nan)),
+            *((_index(v), "field 'i'") for v in (1.5, 0, -1, 0.0, [1], np.int64(1))),
+            *((_index(v), "accepted") for v in (1, 1.0, 2, _Int(1))),
+            (_index(10**400), "accepted"),  # whether that copy exists is checked on first use
         ],
     )
     def test_same_verdict_and_message_as_the_walk(self, mutate, expected):

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
 import pytest
 
-from cqg.errors import ModelSchemaError, PreconditionError
+from cqg.errors import ModelConsistencyError, ModelSchemaError, PreconditionError
 from cqg.models import (
     BUILTIN_NAMES,
+    _certify,
     builtin_finite_group_dual,
     builtin_free_orthogonal_fund,
     builtin_su_q_2,
     resolve_builtin,
     rho_defining_property_oracle,
 )
-from cqg.rep_data import RhoSpectrum, normalize_rho, validate_model
+from cqg.rep_data import (
+    RhoSpectrum,
+    load_model,
+    model_to_document,
+    normalize_rho,
+    validate_model,
+)
 
 from . import oracles
 from .conftest import TIGHT
@@ -184,3 +192,24 @@ def test_every_builtin_validates_cleanly(all_builtins):
     for m in all_builtins:
         report = validate_model(m)
         assert report.ok, (m.name, [issue.message for issue in report.issues])
+
+
+@pytest.mark.parametrize("planted, issues", [(1, 3), (2, 6), (7, 15)])
+def test_built_in_and_loaded_models_fail_with_one_message(planted, issues):
+    # irreps given a conjugate outside the model; past five issues, the rest are counted
+    m = resolve_builtin("cyclic7")
+    irreps = tuple(
+        dataclasses.replace(irr, conjugate="nowhere") if k < planted else irr
+        for k, irr in enumerate(m.irreps)
+    )
+    broken = dataclasses.replace(m, irreps=irreps)
+    report = validate_model(broken)
+    assert len(report.issues) == issues
+    details = "; ".join(issue.message for issue in report.issues[:5])
+    more = f" (+{issues - 5} more)" if issues > 5 else ""
+    with pytest.raises(ModelConsistencyError) as built_in:
+        _certify(broken)
+    with pytest.raises(ModelConsistencyError) as loaded:
+        load_model(model_to_document(broken))
+    assert str(built_in.value) == f"built-in model {m.name!r} failed validation: {details}{more}"
+    assert str(loaded.value) == f"model {m.name!r} failed validation: {details}{more}"

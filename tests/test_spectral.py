@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,10 +114,31 @@ class TestSpectralGrid:
             grid = spectral_grid(suq2_half, "0", "0", probes=probes)
             assert len(grid) == 1 + probes
 
-    @pytest.mark.parametrize("q", [0.5, 2.0, 1.0])
-    @pytest.mark.parametrize("tol", [DEFAULT_TOLERANCE, Tolerance(eigen_group=1.5)])
-    def test_grid_equals_the_greedy_loop(self, q, tol):
-        m = resolve_builtin("su_q_2", q=q, max_level=8)
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("su_q_2", {"q": 0.5, "max_level": 8}),
+            ("su_q_2", {"q": 2.0, "max_level": 8}),
+            ("su_q_2", {"q": 1.0, "max_level": 8}),
+            ("su_q_2", {"q": 0.1, "max_level": 8}),
+            ("su_q_2", {"q": 0.999999, "max_level": 8}),
+            ("s3", {}),
+            ("cyclic7", {}),
+            ("free_orthogonal", {"f_diag": [1.0, 2.0, 3.0]}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "tol",
+        [
+            DEFAULT_TOLERANCE,
+            Tolerance(eigen_group=0.3),
+            Tolerance(eigen_group=1.5),
+            Tolerance(eigen_group=3.0),
+        ],
+    )
+    def test_grid_equals_the_greedy_loop(self, name, params, tol):
+        # the grid drops nothing: no two class pairs group in both s and t
+        m = resolve_builtin(name, **params)
         for alpha in m.labels:
             for beta in m.labels:
                 candidates = [
@@ -131,28 +151,10 @@ class TestSpectralGrid:
                 )
                 assert spectral_grid(m, alpha, beta, probes=0, tol=tol) == want
 
-    @settings(max_examples=60)
-    @given(
-        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40),
-        st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
-        st.sampled_from([1, 3, 1 << 20]),
-    )
-    def test_dropping_grouped_points_equals_the_greedy_loop(self, steps, eigen_group, entries):
-        # distinct eigenvalue classes never group, so points that do come from a lattice
-        points = [(np.exp(0.25 * i), np.exp(0.25 * j)) for i, j in steps]
-        original = spectral._TABLE_ENTRIES
-        spectral._TABLE_ENTRIES = entries  # 1 and 3 split the table into many row blocks
-        try:
-            got = spectral._drop_grouped(points, eigen_group)
-        finally:
-            spectral._TABLE_ENTRIES = original
-        assert got == drop_grouped_greedy(points, eigen_group)
-
     def test_grouped_points_are_dropped(self):
         points = [(1.0, 1.0), (1.1, 1.0), (3.0, 1.0), (1.05, 1.05), (3.1, 0.95)]
         want = [(1.0, 1.0), (3.0, 1.0)]
         assert drop_grouped_greedy(points, 0.2) == want
-        assert spectral._drop_grouped(points, 0.2) == want
 
 
 class TestTheorem53:
