@@ -27,7 +27,16 @@ from cqg.intertwiners import (
 )
 from cqg.fusion import tensor_power_decompose
 from cqg.models import resolve_builtin
-from cqg.rep_data import FusionTable, Tolerance, load_model, model_to_document, validate_model
+from cqg.rep_data import (
+    FusionTable,
+    Irrep,
+    QGModel,
+    RhoSpectrum,
+    Tolerance,
+    load_model,
+    model_to_document,
+    validate_model,
+)
 from cqg.spectral import spectral_grid, verify_theorem_5_3
 
 from . import oracles
@@ -57,6 +66,59 @@ class TestCgSet:
         stripped = load_model(model_to_document(suq2_half))
         with pytest.raises(CGUnavailableError):
             cg_set(stripped, "1", "1")
+
+
+class TestCgBuild:
+    """What the store accepts from a provider, and the order it hands the tensors back in."""
+
+    @staticmethod
+    def _edited(edit):
+        """su_q_2 L3 whose provider output for each pair passes through edit(pair, items)."""
+        m = resolve_builtin("su_q_2", q=0.5, max_level=3)
+        return dataclasses.replace(m, cg=lambda model, *pair: edit(pair, m.cg(model, *pair)))
+
+    def test_wrong_shape(self):
+        m = self._edited(lambda pair, items: [("2", 1, np.zeros((1, 3, 2)))])
+        with pytest.raises(ModelConsistencyError) as excinfo:
+            cg_set(m, "0", "2")
+        assert str(excinfo.value) == (
+            "CG data for ('0', '2') -> '2': shape (1, 3, 2), expected (1, 3, 3)"
+        )
+
+    def test_coverage_differs_from_fusion_row(self):
+        m = self._edited(lambda pair, items: items[1:])
+        with pytest.raises(ModelConsistencyError) as excinfo:
+            cg_set(m, "1", "1")
+        assert str(excinfo.value) == (
+            "CG data for ('1', '1') covers {'2': 1}, fusion row is {'0': 1, '2': 1}"
+        )
+
+    def test_copy_index_beyond_multiplicity(self):
+        m = self._edited(lambda pair, items: [(a, 2, coeffs) for a, _, coeffs in items])
+        with pytest.raises(ModelConsistencyError) as excinfo:
+            cg_set(m, "0", "2")
+        assert str(excinfo.value) == "CG copy indices for ('0', '2') -> '2' are [2], expected [1]"
+
+    def test_reversed_targets_come_back_in_declaration_order(self):
+        m = self._edited(lambda pair, items: items[::-1])
+        assert [(t.alpha, t.copy_index) for t in cg_set(m, "1", "2")] == [("1", 1), ("3", 1)]
+
+    def test_multiplicity_two_copies_come_back_in_index_order(self):
+        # unvalidated: (1 x v) = w + w, each copy one basis vector of the product
+        spectrum = RhoSpectrum((1.0,))
+        irreps = (Irrep("1", 1, spectrum, "1"), Irrep("v", 2, RhoSpectrum((1.0, 1.0)), "v"),
+                  Irrep("w", 1, spectrum, "w"))
+        first, second = np.eye(2).reshape(2, 1, 2, 1)
+
+        def provider(model, beta, gamma):
+            return [("w", 2, second), ("w", 1, first)]
+
+        m = QGModel(name="mult2", trivial="1", irreps=irreps,
+                    fusion=FusionTable({("1", "v"): {"w": 2}}), cg=provider)
+        tensors = cg_set(m, "1", "v")
+        assert [(t.alpha, t.copy_index) for t in tensors] == [("w", 1), ("w", 2)]
+        assert np.array_equal(tensors[0].coeffs, first)
+        assert np.array_equal(tensors[1].coeffs, second)
 
 
 def test_unitarity_across_all_ingested_pairs(suq2_half, suq2_eight_tenths, s3_dual, cyclic5_dual):
