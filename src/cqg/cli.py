@@ -25,8 +25,7 @@ from .errors import (
 )
 from .fusion import decompose, frobenius_check
 from .intertwiners import (
-    _unitarity_report,
-    cg_set,
+    _cg_record,
     cg_supplement_document,
     verify_coassociativity,
     verify_modular,
@@ -48,8 +47,8 @@ from .spectral import _theorem_5_3_sweep, spectral_grid
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
     t = float(args.tol)
-    if t <= 0:
-        raise PreconditionError("--tol must be positive")
+    if not 0 < t < math.inf:
+        raise PreconditionError("--tol must be positive" if t <= 0 else "--tol must be finite")
     return Tolerance(abs=t, rel=t, eigen_group=t)
 
 
@@ -299,8 +298,7 @@ def _cmd_fusion(args, report, m: QGModel) -> None:
 def _cmd_cg(args, report, m: QGModel) -> None:
     if args.beta is None or args.gamma is None:
         raise PreconditionError("cg needs --beta and --gamma")
-    tensors = cg_set(m, args.beta, args.gamma, _tolerance(args))
-    unitarity = _unitarity_report(m, args.beta, args.gamma, tensors)
+    unitarity = _cg_record(m, args.beta, args.gamma, _tolerance(args))["unitarity"]
     # copies of the per-tensor rows: the report itself stays in the model's store
     report["results"] += [dict(entry) for entry in unitarity["tensors"]]
     stack = ("cross_orthogonality_residual", "completeness_residual", "max_residual")

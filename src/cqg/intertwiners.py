@@ -168,45 +168,47 @@ def cg_set(
     index, covers the fusion row exactly, and (unless ``check`` is disabled)
     has passed stacked unitarity and eigenvalue intertwining.  Each pair is
     built and its residuals computed at most once per model; every call holds
-    the stored residuals to its own bound.
+    the stored residuals to its own bound, which a NaN residual fails.
     """
-    tensors = m._memo(("cg", beta, gamma), lambda: _build_cg_set(m, beta, gamma))
-    if check:
-        bound = max(tol.abs, 1e-9)
-        unitarity = _unitarity_report(m, beta, gamma, tensors)["max_residual"]
-        if unitarity > bound:
+    return list(chain.from_iterable(_cg_record(m, beta, gamma, tol, check)["into"].values()))
+
+
+def _cg_record(
+    m: QGModel, beta: str, gamma: str, tol: Tolerance = DEFAULT_TOLERANCE, check: bool = True
+) -> dict:
+    """The stored record of (beta, gamma), held to the bound of tol as cg_set describes."""
+    record = m._memo(("cg", beta, gamma), lambda: _build_cg_record(m, beta, gamma))
+    bound = max(tol.abs, 1e-9)
+    if check and not record["worst"] <= bound:  # only a failing read walks the residuals
+        unitarity = record["unitarity"]["max_residual"]
+        if not unitarity <= bound:
             raise ModelConsistencyError(
                 f"CG data for ({beta!r}, {gamma!r}) fails unitarity: "
                 f"max residual {unitarity:.3e}"
             )
-        residuals = m._memo(
-            ("cg-intertwining", beta, gamma),
-            lambda: [cg_intertwining_residual(m, t) for t in tensors],
-        )
-        for t, resid in zip(tensors, residuals):
-            if resid > bound:
+        for t, resid in zip(chain.from_iterable(record["into"].values()), record["residuals"]):
+            if not resid <= bound:
                 raise ModelConsistencyError(
                     f"CG tensor ({beta!r}, {gamma!r}) -> {t.alpha!r} breaks eigenvalue "
                     f"intertwining: residual {resid:.3e}"
                 )
-    return list(tensors)
+    return record
 
 
-def _unitarity_report(m: QGModel, beta: str, gamma: str, tensors: Sequence[CGTensor]) -> dict:
-    """verify_cg_unitarity of the pair's tensors, run at most once per model."""
-    return m._memo(("cg-unitarity", beta, gamma), lambda: verify_cg_unitarity(tensors))
+def _build_cg_record(m: QGModel, beta: str, gamma: str) -> dict:
+    """The record of (beta, gamma): its tensors checked against the fusion row, and verified.
 
-
-def _build_cg_set(m: QGModel, beta: str, gamma: str) -> tuple[CGTensor, ...]:
-    """The provider's tensors for (beta, gamma), sorted and checked against the fusion row."""
-    m.irrep(beta)
-    m.irrep(gamma)
+    ``into`` maps each target, in declaration order, to its tensors by copy
+    index; ``unitarity`` is their verify_cg_unitarity report, ``residuals``
+    their cg_intertwining_residual in that order, and ``worst`` the largest
+    residual of both checks, NaN if any is NaN.
+    """
+    n_b, n_c = m.dim(beta), m.dim(gamma)
     row = m.fusion.components(beta, gamma)
     if m.cg is None:
         raise CGUnavailableError(f"model {m.name!r} supplies no Clebsch-Gordan data")
     raw = m.cg(m, beta, gamma)
-    n_b, n_c = m.dim(beta), m.dim(gamma)
-    tensors: list[CGTensor] = []
+    groups: dict[str, list[CGTensor]] = {}
     for alpha, copy_index, coeffs in raw:
         arr = np.asarray(coeffs, dtype=complex)
         expected_shape = (n_b, n_c, m.dim(alpha))
@@ -215,28 +217,32 @@ def _build_cg_set(m: QGModel, beta: str, gamma: str) -> tuple[CGTensor, ...]:
                 f"CG data for ({beta!r}, {gamma!r}) -> {alpha!r}: shape {arr.shape}, "
                 f"expected {expected_shape}"
             )
-        tensors.append(
+        groups.setdefault(alpha, []).append(
             CGTensor(alpha=alpha, beta=beta, gamma=gamma, copy_index=int(copy_index), coeffs=arr)
         )
-    order = {label: k for k, label in enumerate(m.labels)}
-    tensors.sort(key=lambda t: (order[t.alpha], t.copy_index))
-
-    counts: dict[str, int] = {}
-    for t in tensors:
-        counts[t.alpha] = counts.get(t.alpha, 0) + 1
+    into = {
+        alpha: tuple(sorted(groups[alpha], key=lambda t: t.copy_index))
+        for alpha in m.labels
+        if alpha in groups
+    }
+    counts = {alpha: len(tensors) for alpha, tensors in into.items()}
     if counts != row:
         raise ModelConsistencyError(
             f"CG data for ({beta!r}, {gamma!r}) covers {counts}, fusion row is {dict(row)}"
         )
-    for t in tensors:
-        expected = list(range(1, counts[t.alpha] + 1))
-        got = sorted(u.copy_index for u in tensors if u.alpha == t.alpha)
+    for alpha, tensors in into.items():
+        got = [t.copy_index for t in tensors]
+        expected = list(range(1, len(got) + 1))
         if got != expected:
             raise ModelConsistencyError(
-                f"CG copy indices for ({beta!r}, {gamma!r}) -> {t.alpha!r} are {got}, "
+                f"CG copy indices for ({beta!r}, {gamma!r}) -> {alpha!r} are {got}, "
                 f"expected {expected}"
             )
-    return tuple(tensors)
+    tensors = list(chain.from_iterable(into.values()))
+    unitarity = verify_cg_unitarity(tensors)
+    residuals = [cg_intertwining_residual(m, t) for t in tensors]
+    worst = float(np.max([unitarity["max_residual"], *residuals]))  # NaN propagates
+    return {"into": into, "unitarity": unitarity, "residuals": residuals, "worst": worst}
 
 
 def verify_cg_unitarity(tensors: Sequence[CGTensor], tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
@@ -295,18 +301,17 @@ def cg_intertwining_residual(m: QGModel, t: CGTensor) -> float:
 # Comultiplication on matrix units, Haar weight, modular identities
 
 
-def _cg_for_target(m: QGModel, beta: str, gamma: str, alpha: str) -> list[CGTensor] | None:
+def _cg_for_target(m: QGModel, beta: str, gamma: str, alpha: str) -> Sequence[CGTensor] | None:
     """Tensors for (beta, gamma) targeting alpha; None when the pair or its CG is unavailable."""
     if (beta, gamma) not in m.fusion:
         return None
     try:
-        tensors = cg_set(m, beta, gamma)
+        return _cg_record(m, beta, gamma)["into"].get(alpha, ())
     except CGUnavailableError:
         return None
-    return [t for t in tensors if t.alpha == alpha]
 
 
-def _tensors_into(m: QGModel, beta: str, gamma: str, alpha: str) -> list[CGTensor]:
+def _tensors_into(m: QGModel, beta: str, gamma: str, alpha: str) -> Sequence[CGTensor]:
     """Tensors of (beta, gamma) into alpha ([] if none); raises if the pair or its CG is absent."""
     if m.fusion.components(beta, gamma).get(alpha, 0) == 0:
         return []
@@ -488,14 +493,6 @@ def verify_coassociativity(
             if beta in row:
                 triples.add((gamma, right, left))
 
-    fetched: dict[tuple[str, str, str], list[CGTensor] | None] = {}
-
-    def tensors_for(beta: str, gamma: str, target: str) -> list[CGTensor] | None:
-        key = (beta, gamma, target)
-        if key not in fetched:
-            fetched[key] = _cg_for_target(m, beta, gamma, target)
-        return fetched[key]
-
     def contributors(inner: tuple[str, str], outer_pair) -> list | None:
         """(outer, inner) tensor pairs over the components x of the inner pair, or None.
 
@@ -508,8 +505,8 @@ def verify_coassociativity(
         for x in m.fusion.components(*inner):
             if outer_pair(x) not in m.fusion:
                 return None
-            outer = tensors_for(*outer_pair(x), alpha)
-            inner_all = tensors_for(*inner, x)
+            outer = _cg_for_target(m, *outer_pair(x), alpha)
+            inner_all = _cg_for_target(m, *inner, x)
             if outer is None or inner_all is None:
                 return None
             out += [(t_out, t_in) for t_out in outer for t_in in inner_all]

@@ -191,6 +191,10 @@ def bounded_degree_identity_check(
                 f"exhaustive check needs {total} tuples, above the 10^6 bound"
             )
     elif strategy == "random":
+        if trials < 1 or seed < 0:
+            raise PreconditionError(
+                f"random check needs trials >= 1 and seed >= 0, got trials={trials}, seed={seed}"
+            )
         half = (r + 1) // 2  # the subset table peaks at its two widest layers
         widest = math.comb(r, half) + math.comb(r, half - 1)
         entries = widest * trials * max(n * n for n in dims.values())

@@ -38,7 +38,7 @@ class Tolerance:
     eigen_group: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs < 0 or self.rel < 0 or self.eigen_group < 0:
+        if not (self.abs >= 0 and self.rel >= 0 and self.eigen_group >= 0):  # NaN fails too
             raise ValueError("tolerance components must be >= 0")
 
     def close(self, x: float, y: float) -> bool:

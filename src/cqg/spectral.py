@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .intertwiners import CGTensor, _certify_complete, cg_set
+from .intertwiners import CGTensor, _certify_complete, _cg_record
 from .rep_data import DEFAULT_TOLERANCE, QGModel, RhoSpectrum, Tolerance
 
 
@@ -132,7 +132,7 @@ def _theorem_5_3_plan(m: QGModel, alpha: str, beta: str) -> tuple:
             pair = (gamma, beta) if first_is_gamma else (beta, gamma)
             if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
                 continue
-            vs = [(_adjoint(m, t), t.matrix) for t in cg_set(m, *pair) if t.alpha == alpha]
+            vs = [(_adjoint(m, t), t.matrix) for t in _cg_record(m, *pair)["into"][alpha]]
             terms.append((gamma, float(m.rho(gamma).trace()), vs))
         return complete, terms
 

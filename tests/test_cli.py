@@ -225,6 +225,14 @@ class TestExitCodeTwo:
             (("cg", "--model", "s3"), "--beta"),
             (("dims", "--model", "s3", "--t", "1,x"), "comma-separated"),
             (("kac", "--model", "s3", "--tol", "-1"), "--tol must be positive"),
+            (("kac", "--model", "cyclic3", "--tol", "inf"), "--tol must be finite"),
+            (("verify", "theorem-5.3", "--max-level", "2", "--tol", "nan"), "--tol must be finite"),
+            (("bounded-degree", "--model", "s3", "--strategy", "random", "--trials", "0"),
+             "trials=0"),
+            (("bounded-degree", "--model", "s3", "--strategy", "random", "--trials", "-1"),
+             "trials=-1"),
+            (("bounded-degree", "--model", "s3", "--strategy", "random", "--seed", "-1"),
+             "seed=-1"),
             (("verify", "growth", "--model", "s3", "--n", "1.5"), "integers"),
             (("fusion", "--model", "s3", "--left", "std"), "together"),
             (("explore", "main-theorem", "--model", "s3", "--alpha0", "std"), ""),

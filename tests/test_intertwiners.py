@@ -103,6 +103,20 @@ class TestCgBuild:
         m = self._edited(lambda pair, items: items[::-1])
         assert [(t.alpha, t.copy_index) for t in cg_set(m, "1", "2")] == [("1", 1), ("3", 1)]
 
+    def test_nan_coefficient_fails_the_gate(self):
+        def plant(pair, items):
+            if pair == ("1", "1"):
+                alpha, copy_index, coeffs = items[0]
+                coeffs = coeffs.copy()
+                coeffs[0, 1, 0] = np.nan
+                items[0] = (alpha, copy_index, coeffs)
+            return items
+
+        m = self._edited(plant)
+        with pytest.raises(ModelConsistencyError, match="fails unitarity: max residual nan"):
+            cg_set(m, "1", "1")
+        assert len(cg_set(m, "1", "1", check=False)) == 2
+
     def test_multiplicity_two_copies_come_back_in_index_order(self):
         # unvalidated: (1 x v) = w + w, each copy one basis vector of the product
         spectrum = RhoSpectrum((1.0,))

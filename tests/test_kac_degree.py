@@ -231,6 +231,14 @@ class TestBoundedDegree:
         with pytest.raises(PreconditionError, match=f"needs {products} matrix products"):
             bounded_degree_identity_check(resolve_builtin("cyclic1"), r, **options)
 
+    @pytest.mark.parametrize(
+        ("options", "needle"),
+        [({"trials": 0}, "trials=0"), ({"trials": -1}, "trials=-1"), ({"seed": -1}, "seed=-1")],
+    )
+    def test_random_trials_and_seed_validation(self, s3_dual, options, needle):
+        with pytest.raises(PreconditionError, match=needle):
+            bounded_degree_identity_check(s3_dual, 3, strategy="random", **options)
+
     def test_strategy_and_degree_validation(self, s3_dual):
         with pytest.raises(PreconditionError):
             bounded_degree_identity_check(s3_dual, 1)

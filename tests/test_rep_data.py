@@ -50,6 +50,10 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(abs=-1.0)
 
+    def test_nan_component_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            Tolerance(eigen_group=float("nan"))
+
 
 class TestRhoSpectrum:
     def test_sorted_descending(self):

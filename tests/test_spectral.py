@@ -278,13 +278,13 @@ def test_sweep_equals_the_per_point_verifier(name, params):
 
 def test_sweep_fetches_each_plan_entry_once(monkeypatch):
     calls = []
-    real_cg_set = spectral.cg_set
+    real_cg_record = spectral._cg_record
 
-    def counting_cg_set(m, *pair, **kwargs):
+    def counting_cg_record(m, *pair, **kwargs):
         calls.append(pair)
-        return real_cg_set(m, *pair, **kwargs)
+        return real_cg_record(m, *pair, **kwargs)
 
-    monkeypatch.setattr(spectral, "cg_set", counting_cg_set)
+    monkeypatch.setattr(spectral, "_cg_record", counting_cg_record)
     m = resolve_builtin("su_q_2", q=0.5, max_level=6)
     entries = 0
     for alpha in m.labels:
