@@ -688,3 +688,41 @@ def supplement_document_reference(m, pairs) -> list[dict]:
                 {"alpha": t.alpha, "beta": beta, "gamma": gamma, "i": t.copy_index, "coeffs": rows}
             )
     return entries
+
+
+def group_average_cg_reference(m, matrices, beta: str, gamma: str) -> list:
+    """The group-average CG of (beta, gamma), one seed unit map at a time.
+
+    For each target alpha, the seeds E_{i,a} run with a outer and i inner;
+    each is averaged as (1/|G|) Σ_g (B_g ⊗ C_g) E A_g^* with 2|G| matmuls,
+    and the first average above 1e-8 is kept, scaled to an isometry and
+    phase-fixed as GroupAverageCGProvider does.
+    """
+    big = [np.kron(b, c) for b, c in zip(matrices[beta], matrices[gamma])]
+    n_b, n_c = m.dim(beta), m.dim(gamma)
+    row = m.fusion.components(beta, gamma)
+    out = []
+    for alpha in (label for label in m.labels if row.get(label, 0)):
+        assert row[alpha] == 1, "multiplicity-free fusion only"
+        reps_a = matrices[alpha]
+        n_a = m.dim(alpha)
+        averaged = None
+        for col in range(n_a):
+            for rowi in range(n_b * n_c):
+                seed = np.zeros((n_b * n_c, n_a), dtype=complex)
+                seed[rowi, col] = 1.0
+                candidate = sum(
+                    big[g] @ seed @ reps_a[g].conj().T for g in range(len(big))
+                ) / len(big)
+                if np.max(np.abs(candidate)) > 1e-8:
+                    averaged = candidate
+                    break
+            if averaged is not None:
+                break
+        c = float(np.trace(averaged.conj().T @ averaged).real) / n_a
+        isometry = averaged / math.sqrt(c)
+        flat = isometry.reshape(-1)
+        first = np.flatnonzero(np.abs(flat) > 1e-10)[0]
+        isometry = isometry * (np.conj(flat[first]) / abs(flat[first]))
+        out.append((alpha, 1, isometry.reshape(n_b, n_c, n_a)))
+    return out

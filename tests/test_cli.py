@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 from cqg import resolve_builtin
 from cqg import cli
 from cqg.cli import _json12, _round12, main
+from cqg.intertwiners import verify_modular
 from cqg.rep_data import Tolerance, model_to_document
-from cqg.spectral import spectral_grid, verify_theorem_5_3
+from cqg.spectral import _theorem_5_3_sweep, spectral_grid, verify_theorem_5_3
 
 REPORT_KEYS = ["command", "model", "parameters", "results", "violations", "truncations"]
 
@@ -347,6 +348,128 @@ class TestFormats:
         assert code == 0 and out == "" and err == ""
         report = json.loads(target.read_text(encoding="utf-8"))
         assert list(report) == REPORT_KEYS
+
+
+def _csv_sections(out: str) -> dict[str, tuple[list[str], list[dict[str, str]]]]:
+    """Each csv section's header and its rows, as dicts of their nonempty cells."""
+    sections: dict[str, tuple[list[str], list[dict[str, str]]]] = {}
+    for line in out.splitlines():
+        if line.startswith("## "):
+            header, rows = sections[line[3:]] = ([], [])
+        elif not header:
+            header.extend(line.split(","))
+        else:
+            rows.append({c: v for c, v in zip(header, line.split(",")) if v != ""})
+    return sections
+
+
+def _theorem_5_3_passes(m, tol):
+    return [
+        result["pass"]
+        for alpha in m.labels
+        for beta in m.labels
+        for result in _theorem_5_3_sweep(
+            m, alpha, beta, spectral_grid(m, alpha, beta, probes=2, tol=tol), tol
+        )
+    ]
+
+
+def _modular_passes(m, tol):
+    support = sorted(m.fusion.pairs())
+    return [
+        block["pass"]
+        for alpha in m.labels
+        for side in ("id_tensor_h", "h_tensor_id")
+        for block in verify_modular(m, alpha, support, tol)[side]
+    ]
+
+
+class TestVerdictRowFiling:
+    """Each verdict row is one results row; its violation is that row plus ``check``.
+
+    A row is a violation exactly when the verifier's own ``pass`` is False, and
+    a truncated row (``pass`` None) files a truncation instead.  Counts at
+    --tol 1e-16 depend on the last bits of the arithmetic, so only shapes and
+    the row-to-row correspondence are asserted.
+    """
+
+    RUNS = {
+        "haar-modular": (
+            ("verify", "haar-modular", "--max-level", "4", "--tol", "1e-16"),
+            ("alpha", "side", "block", "missing"),
+        ),
+        "theorem-5.3": (
+            ("verify", "theorem-5.3", "--max-level", "4", "--tol", "1e-16"),
+            ("alpha", "beta", "s", "t"),
+        ),
+        "growth": (
+            ("verify", "growth", "--max-level", "4", "--n", "1,3"),
+            ("alpha", "n", "t", "message"),
+        ),
+    }
+
+    @staticmethod
+    def _filed(check, rows):
+        """The rows of results that file a verdict, with their verifier's pass."""
+        m = resolve_builtin("su_q_2", q=0.5, max_level=4)
+        tol = Tolerance(abs=1e-16, rel=1e-16, eigen_group=1e-16)
+        if check == "growth":
+            return rows, [row["pass"] for row in rows]
+        if check == "theorem-5.3":
+            return rows, _theorem_5_3_passes(m, tol)
+        rows = [row for row in rows if row["side"] != "coassociativity"]
+        return rows, _modular_passes(m, tol)
+
+    @pytest.mark.parametrize("check", list(RUNS))
+    def test_json(self, capsys, check):
+        argv, truncation_keys = self.RUNS[check]
+        code, report = run_json(capsys, *argv)
+        rows, passes = self._filed(check, report["results"])
+        assert len(rows) == len(passes) and rows
+        expected = [dict(row, check=check) for row, p in zip(rows, passes) if p is False]
+        filed = [v for v in report["violations"] if v["check"] == check]
+        assert filed == expected
+        # the results row's keys, in its order, then check
+        assert [list(v) for v in filed] == [
+            list(row) + ["check"] for row, p in zip(rows, passes) if p is False
+        ]
+        assert code == (1 if report["violations"] else 0)
+        assert report["truncations"]
+        assert all(tuple(t) == truncation_keys for t in report["truncations"])
+        if check == "theorem-5.3":
+            assert all((p is None) == row["truncated"] for row, p in zip(rows, passes))
+            cut = [row for row in rows if row["truncated"]]
+            assert report["truncations"] == [{k: row[k] for k in truncation_keys} for row in cut]
+        if check == "haar-modular":
+            assert all((p is None) == (not row["complete"]) for row, p in zip(rows, passes))
+            cut = [row for row in rows if not row["complete"]]
+            assert [t["block"] for t in report["truncations"]] == [row["block"] for row in cut]
+        if check != "growth":
+            assert filed, "1e-16 is below rounding, so some row must fail"
+
+    @pytest.mark.parametrize("check", list(RUNS))
+    def test_csv(self, capsys, check):
+        argv, truncation_keys = self.RUNS[check]
+        _, json_report = run_json(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert err == ""
+        sections = _csv_sections(out)
+        assert list(sections) == ["results", "violations", "truncations"]
+        results_header, results = sections["results"]
+        violations_header, violations = sections["violations"]
+        truncations_header, truncations = sections["truncations"]
+        _, passes = self._filed(check, json_report["results"])
+        rows = [r for r in results if check != "haar-modular" or r["side"] != "coassociativity"]
+        expected = [dict(row, check=check) for row, p in zip(rows, passes) if p is False]
+        assert [v for v in violations if v["check"] == check] == expected
+        if check == "theorem-5.3":
+            assert violations_header == results_header + ["check"]
+        if check == "haar-modular" and violations and violations[0]["check"] == check:
+            # block rows lead the results header; the columns follow the first violation
+            assert violations_header[:6] == results_header[:5] + ["check"]
+        assert truncations_header == list(truncation_keys)
+        assert len(truncations) == len(json_report["truncations"])
+        assert code == (1 if violations else 0)
 
 
 class _Level(enum.IntEnum):

@@ -158,6 +158,17 @@ def test_intertwining_residuals_vanish(suq2_half, s3_dual):
             assert cg_intertwining_residual(m, t) <= 1e-12
 
 
+def test_group_average_cg_matches_the_seed_loop(s3_dual):
+    provider = s3_dual.cg
+    pairs = [(beta, gamma) for beta in s3_dual.labels for gamma in s3_dual.labels]
+    assert len(pairs) == 9
+    for beta, gamma in pairs:
+        got = provider(s3_dual, beta, gamma)
+        expected = oracles.group_average_cg_reference(s3_dual, provider._matrices, beta, gamma)
+        assert [(a, i) for a, i, _ in got] == [(a, i) for a, i, _ in expected]
+        assert [c.tobytes() for _, _, c in got] == [c.tobytes() for _, _, c in expected]
+
+
 class TestC00Element:
     def test_matrix_unit_products(self, s3_dual):
         e01 = C00Element.matrix_unit(s3_dual, "std", 0, 1)
