@@ -293,6 +293,8 @@ def cg_intertwining_residual(m: QGModel, t: CGTensor) -> float:
     targets = lam_a[None, None, :]
     mags = np.abs(t.coeffs)
     scale = float(mags.max()) or 1.0
+    if not scale < math.inf:  # a nan or inf coefficient would weight every entry to 0
+        return scale
     weights = np.where(mags > _ZERO_ENTRY * scale, mags, 0.0)
     return float(np.max(weights * np.abs(products / targets - 1.0)))
 
@@ -755,23 +757,15 @@ class GroupAverageCGProvider:
                 )
             reps_a = self._matrices[alpha]
             n_b, n_c, n_a = model.dim(beta), model.dim(gamma), model.dim(alpha)
-            averaged = None
-            for col in range(n_a):
-                for rowi in range(n_b * n_c):
-                    seed = np.zeros((n_b * n_c, n_a), dtype=complex)
-                    seed[rowi, col] = 1.0
-                    candidate = sum(
-                        big[g] @ seed @ reps_a[g].conj().T for g in range(group_order)
-                    ) / group_order
-                    if np.max(np.abs(candidate)) > 1e-8:
-                        averaged = candidate
-                        break
-                if averaged is not None:
-                    break
+            # column i * n_a + a is the group average of the unit map E_{i,a}
+            averages = sum(_kron(g_bc, g_a.conj()) for g_bc, g_a in zip(big, reps_a)) / group_order
+            seeds = (averages[:, i * n_a + a] for a in range(n_a) for i in range(n_b * n_c))
+            averaged = next((col for col in seeds if np.max(np.abs(col)) > 1e-8), None)
             if averaged is None:
                 raise ModelConsistencyError(
                     f"group averaging found no intertwiner for ({beta!r}, {gamma!r}) -> {alpha!r}"
                 )
+            averaged = averaged.reshape(n_b * n_c, n_a)
             gram = averaged.conj().T @ averaged
             c = float(np.trace(gram).real) / n_a
             if np.max(np.abs(gram - c * np.eye(n_a))) > 1e-10 * max(c, 1.0):

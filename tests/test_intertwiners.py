@@ -16,6 +16,7 @@ from cqg.cli import main
 from cqg.errors import CGUnavailableError, ModelConsistencyError, ModelSchemaError, TruncationError
 from cqg.intertwiners import (
     C00Element,
+    CGTensor,
     cg_intertwining_residual,
     cg_set,
     cg_supplement_document,
@@ -529,6 +530,20 @@ class TestPlantedNonFiniteCoefficient:
         assert result["triples"]
         assert all(t["residual"] == math.inf and not t["pass"] for t in result["triples"])
         assert result["max_residual"] == math.inf and not result["pass"]
+
+    @pytest.mark.parametrize("where, bad", [((0, 1, 0), math.nan), ((0, 0, 0), math.inf)])
+    def test_intertwining_residual_reads_the_planted_value(self, where, bad):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=3)
+        raw = [(t.alpha, t.copy_index, t.coeffs.copy()) for t in cg_set(m, "1", "1")]
+        (coeffs,) = [c for alpha, _, c in raw if alpha == "2"]
+        coeffs[where] = bad
+        planted = CGTensor(alpha="2", beta="1", gamma="1", copy_index=1, coeffs=coeffs)
+        residual = cg_intertwining_residual(m, planted)
+        assert math.isnan(residual) if math.isnan(bad) else residual == math.inf
+        # the pair's gate still names unitarity first; inf * 0 in its Gram product is nan
+        broken = dataclasses.replace(m, cg=lambda model, beta, gamma: raw)
+        with np.errstate(invalid="ignore"), pytest.raises(ModelConsistencyError, match="unitarity"):
+            cg_set(broken, "1", "1")
 
     def test_document_with_nan_coefficient_rejected(self):
         m = resolve_builtin("su_q_2", q=0.5, max_level=4)
