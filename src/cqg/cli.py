@@ -66,17 +66,17 @@ def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in values]
 
 
-def _resolve_model(args: argparse.Namespace) -> QGModel:
+def _resolve_model(args: argparse.Namespace, tol: Tolerance) -> QGModel:
     spec = args.model or "su_q_2"
     name = spec[len("builtin:") :] if spec.startswith("builtin:") else spec
     f_diag = _parse_floats(args.f_diag) if args.f_diag else None
     if not spec.startswith("builtin:") and (spec.endswith(".json") or "/" in spec):
-        return load_model(spec, tol=_tolerance(args))
+        return load_model(spec, tol=tol)
     try:
         return resolve_builtin(name, q=args.q, max_level=args.max_level, f_diag=f_diag)
     except PreconditionError:
         if os.path.exists(spec):
-            return load_model(spec, tol=_tolerance(args))
+            return load_model(spec, tol=tol)
         raise
 
 
@@ -158,7 +158,6 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
         _write(_json12(report) + "\n", args)
         return
-    report = _round12(report)
     if args.format == "csv":
         lines: list[str] = []
         for section in ("results", "violations", "truncations"):
@@ -212,6 +211,18 @@ def _report(command: str, model_name: str, parameters: dict) -> dict:
     }
 
 
+def _file(report: dict, row: dict, check: str, passed: bool | None, truncation=None) -> None:
+    """Append row to the results, then its truncation if given, else its violation if failed.
+
+    ``passed`` is the verifier's own verdict, None when the row is truncated.
+    """
+    report["results"].append(row)
+    if truncation is not None:
+        report["truncations"].append(truncation)
+    elif passed is False:
+        report["violations"].append(dict(row, check=check))
+
+
 def _labels_arg(m: QGModel, text: str | None) -> list[str]:
     if text is None:
         return list(m.labels)
@@ -225,7 +236,7 @@ def _labels_arg(m: QGModel, text: str | None) -> list[str]:
 # subcommand bodies; each fills the report and returns nothing
 
 
-def _cmd_models(args, report, m: QGModel | None) -> None:
+def _cmd_models(args, report, m: QGModel | None, tol: Tolerance) -> None:
     for name, hint in (
         ("su_q_2", "q-deformed SU(2) series; uses --q and --max-level"),
         ("s3", "dual of the symmetric group on three letters (Kac)"),
@@ -244,7 +255,7 @@ def _cmd_models(args, report, m: QGModel | None) -> None:
         )
 
 
-def _cmd_dims(args, report, m: QGModel) -> None:
+def _cmd_dims(args, report, m: QGModel, tol: Tolerance) -> None:
     ts = _parse_floats(args.t)
     for label in _labels_arg(m, args.labels):
         row = {"label": label, "dim": m.dim(label)}
@@ -253,8 +264,7 @@ def _cmd_dims(args, report, m: QGModel) -> None:
         report["results"].append(row)
 
 
-def _cmd_spectra(args, report, m: QGModel) -> None:
-    tol = _tolerance(args)
+def _cmd_spectra(args, report, m: QGModel, tol: Tolerance) -> None:
     for label in _labels_arg(m, args.labels):
         spectrum = m.rho(label)
         report["results"].append(
@@ -270,7 +280,7 @@ def _cmd_spectra(args, report, m: QGModel) -> None:
         )
 
 
-def _cmd_fusion(args, report, m: QGModel) -> None:
+def _cmd_fusion(args, report, m: QGModel, tol: Tolerance) -> None:
     if (args.left is None) != (args.right is None):
         raise PreconditionError("--left and --right must be given together")
     pairs = (
@@ -295,10 +305,10 @@ def _cmd_fusion(args, report, m: QGModel) -> None:
         )
 
 
-def _cmd_cg(args, report, m: QGModel) -> None:
+def _cmd_cg(args, report, m: QGModel, tol: Tolerance) -> None:
     if args.beta is None or args.gamma is None:
         raise PreconditionError("cg needs --beta and --gamma")
-    unitarity = _cg_record(m, args.beta, args.gamma, _tolerance(args))["unitarity"]
+    unitarity = _cg_record(m, args.beta, args.gamma, tol)["unitarity"]
     # copies of the per-tensor rows: the report itself stays in the model's store
     report["results"] += [dict(entry) for entry in unitarity["tensors"]]
     stack = ("cross_orthogonality_residual", "completeness_residual", "max_residual")
@@ -310,26 +320,20 @@ _THEOREM_5_3_ROW = (
 )
 
 
-def _cmd_verify_theorem_5_3(args, report, m: QGModel) -> None:
-    tol = _tolerance(args)
+def _cmd_verify_theorem_5_3(args, report, m: QGModel, tol: Tolerance) -> None:
     alphas = _labels_arg(m, args.alpha)
     betas = _labels_arg(m, args.beta)
     for alpha in alphas:
         for beta in betas:
             points = spectral_grid(m, alpha, beta, probes=args.probes, tol=tol)
             for (s, t), result in zip(points, _theorem_5_3_sweep(m, alpha, beta, points, tol)):
+                truncated = result["truncated"]
+                cut = {"alpha": alpha, "beta": beta, "s": s, "t": t} if truncated else None
                 row = {k: result[k] for k in _THEOREM_5_3_ROW}
-                report["results"].append(row)
-                if result["truncated"]:
-                    report["truncations"].append(
-                        {"alpha": alpha, "beta": beta, "s": s, "t": t}
-                    )
-                elif result["pass"] is False:
-                    report["violations"].append(dict(row, check="theorem-5.3"))
+                _file(report, row, "theorem-5.3", result["pass"], cut)
 
 
-def _cmd_verify_haar_modular(args, report, m: QGModel) -> None:
-    tol = _tolerance(args)
+def _cmd_verify_haar_modular(args, report, m: QGModel, tol: Tolerance) -> None:
     support = sorted(m.fusion.pairs())
     for alpha in _labels_arg(m, args.alpha):
         try:
@@ -339,25 +343,10 @@ def _cmd_verify_haar_modular(args, report, m: QGModel) -> None:
             continue
         for side in ("id_tensor_h", "h_tensor_id"):
             for block in result[side]:
-                row = {
-                    "alpha": alpha,
-                    "side": side,
-                    "block": block["label"],
-                    "residual": block["residual"],
-                    "complete": block["complete"],
-                }
-                report["results"].append(row)
-                if block["pass"] is False:
-                    report["violations"].append(dict(row, check="haar-modular"))
-                if not block["complete"]:
-                    report["truncations"].append(
-                        {
-                            "alpha": alpha,
-                            "side": side,
-                            "block": block["label"],
-                            "missing": block["missing"],
-                        }
-                    )
+                where = {"alpha": alpha, "side": side, "block": block["label"]}
+                row = dict(where, residual=block["residual"], complete=block["complete"])
+                cut = None if block["complete"] else dict(where, missing=block["missing"])
+                _file(report, row, "haar-modular", block["pass"], cut)
         coassoc = verify_coassociativity(m, alpha, support, tol)
         for triple in coassoc["triples"]:
             if not triple["pass"]:
@@ -380,22 +369,20 @@ def _cmd_verify_haar_modular(args, report, m: QGModel) -> None:
         )
 
 
-def _cmd_verify_symmetry(args, report, m: QGModel) -> None:
-    tol = _tolerance(args)
+def _cmd_verify_symmetry(args, report, m: QGModel, tol: Tolerance) -> None:
     results, violations = symmetry_sweep(m, tol)
     report["results"].extend(results)
     report["violations"].extend(violations)
 
 
-def _cmd_verify_frobenius(args, report, m: QGModel) -> None:
+def _cmd_verify_frobenius(args, report, m: QGModel, tol: Tolerance) -> None:
     violations = frobenius_check(m)
     pairs = len(m.fusion)
     report["results"].append({"pairs_checked": pairs, "violations_found": len(violations)})
     report["violations"].extend(violations)
 
 
-def _cmd_verify_growth(args, report, m: QGModel) -> None:
-    tol = _tolerance(args)
+def _cmd_verify_growth(args, report, m: QGModel, tol: Tolerance) -> None:
     ns = _parse_ints(args.n)
     ts = _parse_floats(args.t)
     for alpha in _labels_arg(m, args.alpha):
@@ -408,13 +395,10 @@ def _cmd_verify_growth(args, report, m: QGModel) -> None:
                         {"alpha": alpha, "n": n, "t": t, "message": str(exc)}
                     )
                     continue
-                report["results"].append(result)
-                if not result["pass"]:
-                    report["violations"].append(dict(result, check="growth"))
+                _file(report, result, "growth", result["pass"])
 
 
-def _cmd_kac(args, report, m: QGModel) -> None:
-    tol = _tolerance(args)
+def _cmd_kac(args, report, m: QGModel, tol: Tolerance) -> None:
     verdict = is_kac(m, tol)
     report["results"].append(
         {
@@ -435,7 +419,7 @@ def _cmd_kac(args, report, m: QGModel) -> None:
         )
 
 
-def _cmd_bounded_degree(args, report, m: QGModel) -> None:
+def _cmd_bounded_degree(args, report, m: QGModel, tol: Tolerance) -> None:
     r = args.r if args.r is not None else 2 * n_G(m)
     strategy = args.strategy
     if strategy == "auto":
@@ -451,8 +435,7 @@ def _cmd_bounded_degree(args, report, m: QGModel) -> None:
         )
 
 
-def _cmd_explore_main_theorem(args, report, m: QGModel) -> None:
-    tol = _tolerance(args)
+def _cmd_explore_main_theorem(args, report, m: QGModel, tol: Tolerance) -> None:
     alpha0 = args.alpha0
     m.irrep(alpha0)
     seq = main_theorem_sequence(m, alpha0, args.steps, tol)
@@ -502,7 +485,7 @@ def _cmd_explore_main_theorem(args, report, m: QGModel) -> None:
             )
 
 
-def _cmd_explore_corollary_6_5(args, report, m: QGModel) -> None:
+def _cmd_explore_corollary_6_5(args, report, m: QGModel, tol: Tolerance) -> None:
     word = []
     for token in filter(None, (t.strip() for t in str(args.word).split(","))):
         label, colon, power = token.partition(":")
@@ -524,7 +507,7 @@ def _cmd_explore_corollary_6_5(args, report, m: QGModel) -> None:
         )
 
 
-def _cmd_export(args, report, m: QGModel) -> None:
+def _cmd_export(args, report, m: QGModel, tol: Tolerance) -> None:
     document = model_to_document(m)
     if args.include_cg:
         pairs = sorted(m.fusion.pairs())
@@ -569,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def by_what(table: dict):
-        return lambda args, report, m: table[args.what](args, report, m)
+        return lambda args, report, m, tol: table[args.what](args, report, m, tol)
 
     add("models", _cmd_models, "list built-in models")
 
@@ -622,10 +605,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = _tolerance(args)
         needs_model = args.command != "models"
         model = None
         if needs_model or args.model:
-            model = _resolve_model(args)
+            model = _resolve_model(args, tol)
         parameters = {
             "tol": float(args.tol),
             "format": args.format,
@@ -638,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in {"verify", "explore"}:
             command_name = f"{args.command} {args.what}"
         report = _report(command_name, model.name if model else "-", parameters)
-        args.func(args, report, model)
+        args.func(args, report, model, tol)
         if args.command == "export":  # writes the document itself, no report
             return 0
     except ModelConsistencyError as exc:

@@ -295,6 +295,27 @@ class TestExitCodeTwo:
         assert err.startswith("error:")
         assert needle in err
 
+    EVERY_COMMAND = [
+        ("models",),
+        ("dims",),
+        ("spectra",),
+        ("fusion",),
+        ("cg", "--beta", "1", "--gamma", "1"),
+        *(("verify", what) for what in cli._VERIFY),
+        ("kac",),
+        ("bounded-degree",),
+        ("explore", "main-theorem", "--steps", "2"),
+        ("explore", "corollary-6.5", "--bound", "3"),
+        ("export",),
+    ]
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+    def test_tol_checked_for_every_command(self, capsys, argv):
+        argv = (*argv, "--max-level", "4")
+        assert run_cli(capsys, *argv, "--tol", "1e-9")[0] in (0, 1)  # the rest of argv is valid
+        for tol, needle in (("nan", "--tol must be finite"), ("0", "--tol must be positive")):
+            assert run_cli(capsys, *argv, "--tol", tol) == (2, "", f"error: {needle}\n")
+
     def test_missing_model_file(self, capsys, tmp_path):
         path = tmp_path / "missing.json"
         code, out, err = run_cli(capsys, "dims", "--model", str(path))
