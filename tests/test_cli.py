@@ -693,6 +693,83 @@ class TestExportRoundTrip:
         assert err.startswith("error:")
 
 
+class TestReachableBranches:
+    """Branches of the command handlers that only these inputs reach."""
+
+    def test_reloaded_export_missing_one_cg_pair(self, capsys, tmp_path):
+        target = tmp_path / "model.json"
+        assert run_cli(
+            capsys, "export", "--model", "su_q_2", "--max-level", "4", "--include-cg",
+            "--out", str(target),
+        ) == (0, "", "")
+        document = json.loads(target.read_text(encoding="utf-8"))
+        _, full = run_json(capsys, "verify", "haar-modular", "--model", str(target))
+        document["cg"] = [e for e in document["cg"] if (e["beta"], e["gamma"]) != ("1", "2")]
+        target.write_text(json.dumps(document), encoding="utf-8")
+        code, cut = run_json(capsys, "verify", "haar-modular", "--model", str(target))
+        assert code == 0
+        message = "no Clebsch-Gordan data for pair ('1', '2')"
+        assert [row for row in cut["truncations"] if "message" in row] == [
+            {"alpha": "1", "message": message},
+            {"alpha": "3", "message": message},
+        ]
+        assert sorted({row["alpha"] for row in cut["results"]}) == ["0", "2", "4"]
+
+        def alpha_0_triples(report):
+            (row,) = [r for r in report["results"]
+                      if r["alpha"] == "0" and r["side"] == "coassociativity"]
+            return row["triples_checked"], row["triples_skipped"]
+
+        assert alpha_0_triples(full) == (10, 5)
+        assert alpha_0_triples(cut) == (8, 7)
+
+    def test_fusion_pair_not_ingested(self, capsys):
+        code, report = run_json(
+            capsys, "fusion", "--max-level", "4", "--left", "3", "--right", "3"
+        )
+        assert code == 0 and report["results"] == [] and report["violations"] == []
+        assert report["truncations"] == [
+            {"pair": ["3", "3"],
+             "message": "fusion pair ('3', '3') is not ingested in this model fragment"}
+        ]
+        assert run_cli(capsys, "fusion", "--max-level", "4", "--left", "1", "--right", "x") == (
+            2, "", "error: unknown irrep label 'x' in model 'su_q_2(q=0.5,max_level=4)'\n"
+        )
+
+    def test_main_theorem_refined_subsequence(self, capsys, tmp_path):
+        labels = ["0", "a1", "a2", "a3"]
+        spectra = {"0": [1.0], "a1": [2.0, 0.5], "a2": [4.0, 1.0, 0.25], "a3": [16.0, 0.0625]}
+        rows = {("a1", "a1"): {"0": 1, "a2": 1}, ("a2", "a2"): {"0": 1, "a2": 2, "a3": 1}}
+        for x in labels:
+            rows[(x, "0")] = rows[("0", x)] = {x: 1}
+        document = {
+            "name": "refined",
+            "trivial": "0",
+            "irreps": [{"label": x, "dim": len(rho), "rho": rho, "conjugate": x}
+                       for x, rho in spectra.items()],
+            "fusion": [{"left": left, "right": right, "components": components}
+                       for (left, right), components in rows.items()],
+        }
+        target = tmp_path / "refined.json"
+        target.write_text(json.dumps(document), encoding="utf-8")
+        code, report = run_json(
+            capsys, "explore", "main-theorem", "--model", str(target),
+            "--alpha0", "a1", "--steps", "2",
+        )
+        assert code == 1
+        results = report["results"]
+        assert [row["label"] for row in results if "label" in row] == ["a1", "a2", "a3"]
+        assert [(v["check"], v["k_pair"], v["value"]) for v in report["violations"]] == [
+            ("growth-chain", [2, 3], 0.764880952381)
+        ]
+        (subsequence,) = [row for row in results if row.get("check") == "subsequence"]
+        assert subsequence == {"check": "subsequence", "outcome": "refined",
+                               "k_indices": [1, 3], "dimension": 2, "budget_left": 19}
+        (final,) = [row for row in results if row.get("check") == "final-bound"]
+        assert final["lower_bound_value"] == final["final_bound_value"] == 0.803125
+        assert not [v for v in report["violations"] if v["check"] == "consistency-trap"]
+
+
 class TestDeterminism:
     def test_random_strategy_reports_identical(self, capsys):
         argv = (

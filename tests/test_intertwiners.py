@@ -100,6 +100,17 @@ class TestCgBuild:
             cg_set(m, "0", "2")
         assert str(excinfo.value) == "CG copy indices for ('0', '2') -> '2' are [2], expected [1]"
 
+    def test_broken_intertwining_is_named(self):
+        # the '2' tensor with its a-axis reversed: still an isometry, but on the wrong weights
+        m = self._edited(
+            lambda pair, items: [(a, i, c[:, :, ::-1] if a == "2" else c) for a, i, c in items]
+        )
+        with pytest.raises(ModelConsistencyError) as excinfo:
+            cg_set(m, "1", "1")
+        assert str(excinfo.value) == (
+            "CG tensor ('1', '1') -> '2' breaks eigenvalue intertwining: residual 1.500e+01"
+        )
+
     def test_reversed_targets_come_back_in_declaration_order(self):
         m = self._edited(lambda pair, items: items[::-1])
         assert [(t.alpha, t.copy_index) for t in cg_set(m, "1", "2")] == [("1", 1), ("3", 1)]
