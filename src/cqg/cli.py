@@ -287,8 +287,6 @@ def _cmd_fusion(args, report, m: QGModel, tol: Tolerance) -> None:
         [(args.left, args.right)] if args.left is not None else sorted(m.fusion.pairs())
     )
     for left, right in pairs:
-        m.irrep(left)
-        m.irrep(right)
         try:
             dec = decompose(m, left, right)
         except TruncationError as exc:
@@ -334,7 +332,7 @@ def _cmd_verify_theorem_5_3(args, report, m: QGModel, tol: Tolerance) -> None:
 
 
 def _cmd_verify_haar_modular(args, report, m: QGModel, tol: Tolerance) -> None:
-    support = sorted(m.fusion.pairs())
+    support = m.fusion.pairs()
     for alpha in _labels_arg(m, args.alpha):
         try:
             result = verify_modular(m, alpha, support, tol)
@@ -510,8 +508,7 @@ def _cmd_explore_corollary_6_5(args, report, m: QGModel, tol: Tolerance) -> None
 def _cmd_export(args, report, m: QGModel, tol: Tolerance) -> None:
     document = model_to_document(m)
     if args.include_cg:
-        pairs = sorted(m.fusion.pairs())
-        document["cg"] = cg_supplement_document(m, pairs)
+        document["cg"] = cg_supplement_document(m, m.fusion.pairs())
     _write(_json12(document) + "\n", args)
 
 
@@ -623,18 +620,16 @@ def main(argv: list[str] | None = None) -> int:
             command_name = f"{args.command} {args.what}"
         report = _report(command_name, model.name if model else "-", parameters)
         args.func(args, report, model, tol)
-        if args.command == "export":  # writes the document itself, no report
-            return 0
+        if args.command != "export":  # export writes the document itself, no report
+            _emit(report, args)
     except ModelConsistencyError as exc:
         sys.stderr.write(f"consistency violation: {exc}\n")
         return 1
-    except (ModelSchemaError, PreconditionError, TruncationError, CGUnavailableError) as exc:
+    except (
+        ModelSchemaError, PreconditionError, TruncationError, CGUnavailableError, OSError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    _emit(report, args)
     return 1 if report["violations"] else 0
 
 

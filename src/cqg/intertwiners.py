@@ -245,6 +245,7 @@ def _build_cg_record(m: QGModel, beta: str, gamma: str) -> dict:
     return {"into": into, "unitarity": unitarity, "residuals": residuals, "worst": worst}
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a nan or inf residual is itself the report
 def verify_cg_unitarity(tensors: Sequence[CGTensor], tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
     """Isometry, mutual orthogonality, and completeness residuals of a pair's stack."""
     if not tensors:
@@ -304,9 +305,7 @@ def cg_intertwining_residual(m: QGModel, t: CGTensor) -> float:
 
 
 def _cg_for_target(m: QGModel, beta: str, gamma: str, alpha: str) -> Sequence[CGTensor] | None:
-    """Tensors for (beta, gamma) targeting alpha; None when the pair or its CG is unavailable."""
-    if (beta, gamma) not in m.fusion:
-        return None
+    """Tensors of the ingested pair (beta, gamma) into alpha; None when its CG is unavailable."""
     try:
         return _cg_record(m, beta, gamma)["into"].get(alpha, ())
     except CGUnavailableError:
@@ -745,7 +744,7 @@ class GroupAverageCGProvider:
         reps_b = self._matrices[beta]
         reps_c = self._matrices[gamma]
         group_order = len(reps_b)
-        big = [np.kron(b, c) for b, c in zip(reps_b, reps_c)]
+        big = [_kron(b, c) for b, c in zip(reps_b, reps_c)]
         out: list[tuple[str, int, np.ndarray]] = []
         for alpha in model.labels:
             mult = row.get(alpha, 0)

@@ -57,8 +57,8 @@ def builtin_su_q_2(q: float, max_level: int) -> QGModel:
     """The q-deformed SU(2) series truncated at ``max_level``.
 
     Labels 0..max_level with dims n+1; the spectrum of label n is the
-    descending sort of {q^n, q^{n-2}, ..., q^{-n}}, certified by the
-    defining-property oracle; every irrep is self-conjugate; the fusion pair
+    descending sort of {q^n, q^{n-2}, ..., q^{-n}}, whose trace balance the
+    model validation certifies; every irrep is self-conjugate; the fusion pair
     (l, r) is ingested iff l + r <= max_level, which keeps every ingested
     decomposition inside the fragment.  q = 1 gives classical SU(2).
     """
@@ -91,8 +91,6 @@ def builtin_su_q_2(q: float, max_level: int) -> QGModel:
     for n in range(max_level + 1):
         eigenvalues = tuple(q ** (n - 2 * k) for k in range(n + 1))
         spectrum = RhoSpectrum(eigenvalues)
-        if not rho_defining_property_oracle(spectrum):
-            raise ModelConsistencyError(f"generated spectrum for level {n} is not balanced")
         irreps.append(Irrep(label=str(n), dim=n + 1, rho=spectrum, conjugate=str(n)))
     # pairs (l, r) with l + r <= max_level, row-major; components |l - r|, |l - r| + 2, ..., l + r
     sizes = np.arange(max_level + 1, 0, -1)
@@ -119,6 +117,10 @@ def builtin_su_q_2(q: float, max_level: int) -> QGModel:
 def _cyclic_dual(n: int) -> QGModel:
     if n < 1:
         raise PreconditionError("cyclic group order must be >= 1")
+    if n * n > 10**6:  # the fusion dict costs about 1.2 KB per entry
+        raise PreconditionError(
+            f"cyclic{n} has {n * n} fusion entries, above the cap of 10**6 (n <= 1000)"
+        )
     one = RhoSpectrum((1.0,))
     irreps = tuple(
         Irrep(label=str(k), dim=1, rho=one, conjugate=str((n - k) % n)) for k in range(n)
@@ -209,8 +211,13 @@ def builtin_free_orthogonal_fund(f_diag: Sequence[float]) -> QGModel:
         raise PreconditionError("F_diag needs at least one entry")
     if any(v <= 0 or not math.isfinite(v) for v in values):
         raise PreconditionError("F_diag entries must be positive finite reals")
-    spectrum = normalize_rho([v * v for v in values])
-    conjugate_spectrum = RhoSpectrum(tuple(1.0 / v for v in spectrum))
+    try:  # the entries are positive and finite, so only a float range can fail here
+        spectrum = normalize_rho([v * v for v in values])
+        conjugate_spectrum = RhoSpectrum(tuple(1.0 / v for v in spectrum))
+    except ModelConsistencyError as exc:
+        raise PreconditionError(
+            f"F_diag {values} leaves the float range once squared and trace-balanced: {exc}"
+        ) from None
     dim = len(values)
     one = RhoSpectrum((1.0,))
     irreps = (

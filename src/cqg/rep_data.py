@@ -533,18 +533,14 @@ def _require(doc: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
 def _read_source(source: Any) -> Mapping[str, Any]:
     if isinstance(source, Mapping):
         return source
-    if isinstance(source, os.PathLike):
-        with open(os.fspath(source), "r", encoding="utf-8") as fh:
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and os.path.exists(source)):
+        with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     elif isinstance(source, (str, bytes)):
-        if isinstance(source, str) and os.path.exists(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            try:
-                doc = json.loads(source)
-            except json.JSONDecodeError as exc:
-                raise ModelSchemaError(f"model source is neither a file path nor JSON: {exc}") from exc
+        try:
+            doc = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ModelSchemaError(f"model source is neither a file path nor JSON: {exc}") from exc
     else:
         raise ModelSchemaError(f"unsupported model source type {type(source).__name__}")
     if not isinstance(doc, Mapping):
@@ -610,8 +606,6 @@ def load_model_with_report(
         scale_factors[label] = polished[0] / raw[0]
         irreps.append(Irrep(label=label, dim=dim, rho=polished, conjugate=conjugate))
 
-    labels = {irr.label for irr in irreps}
-
     entries: dict[tuple[str, str], dict[str, int]] = {}
     for entry in fusion_raw:
         if not isinstance(entry, Mapping):
@@ -619,13 +613,13 @@ def load_model_with_report(
         left = _require(entry, "left", str, "fusion entry")
         right = _require(entry, "right", str, "fusion entry")
         components = _require(entry, "components", Mapping, f"fusion ({left!r}, {right!r})")
-        if left not in labels or right not in labels:
+        if left not in seen or right not in seen:
             raise ModelSchemaError(
                 f"fusion pair ({left!r}, {right!r}) references labels outside the model"
             )
         row: dict[str, int] = {}
         for comp, mult in components.items():
-            if comp not in labels:
+            if comp not in seen:
                 raise ModelSchemaError(
                     f"fusion ({left!r}, {right!r}): component {comp!r} is not in the model"
                 )

@@ -160,8 +160,6 @@ def _theorem_5_3_sweep(
     for s, t in points:
         if not (s > 0 and t > 0 and 0 < s * t < math.inf):
             raise PreconditionError("spectral parameters must be positive finite reals")
-    if not points:
-        return []
     d_alpha = float(m.rho(alpha).trace())
     n = m.dim(alpha)
     log_beta = _log_rho(m, beta)

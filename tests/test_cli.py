@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqg import resolve_builtin
-from cqg import cli
+from cqg import cli, models
 from cqg.cli import _json12, _round12, main
 from cqg.intertwiners import verify_modular
 from cqg.rep_data import Tolerance, model_to_document
@@ -250,6 +250,14 @@ class TestExitCodeTwo:
              "t > 1"),
             (("verify", "growth", "--max-level", "6", "--n", "1", "--t", "inf", "--alpha", "1"),
              "t > 1"),
+            (("spectra", "--model", "free_orthogonal", "--f-diag", "1,1e200,1"),
+             "F_diag [1.0, 1e+200, 1.0] leaves the float range"),
+            (("spectra", "--model", "free_orthogonal", "--f-diag", "1,1e-200,1"),
+             "F_diag [1.0, 1e-200, 1.0] leaves the float range"),
+            (("spectra", "--model", "free_orthogonal", "--f-diag", "1,1e-160,1"),
+             "F_diag [1.0, 1e-160, 1.0] leaves the float range"),
+            (("spectra", "--model", "free_orthogonal", "--f-diag", "1e154,1e154"),
+             "F_diag [1e+154, 1e+154] leaves the float range"),
         ],
     )
     def test_usage_errors(self, capsys, argv, needle):
@@ -315,6 +323,21 @@ class TestExitCodeTwo:
         assert run_cli(capsys, *argv, "--tol", "1e-9")[0] in (0, 1)  # the rest of argv is valid
         for tol, needle in (("nan", "--tol must be finite"), ("0", "--tol must be positive")):
             assert run_cli(capsys, *argv, "--tol", tol) == (2, "", f"error: {needle}\n")
+
+    @pytest.mark.parametrize("n", [1001, 1234567890123])
+    def test_cyclic_order_capped_before_anything_is_built(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(models, "Irrep", None)  # building any irrep fails the test
+        assert run_cli(capsys, "dims", "--model", f"cyclic{n}") == (
+            2, "", f"error: cyclic{n} has {n * n} fusion entries, above the cap of 10**6 "
+            "(n <= 1000)\n"
+        )
+
+    @pytest.mark.parametrize("argv", [("dims",), ("fusion",), ("export", "--include-cg")])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "report.json"
+        assert run_cli(capsys, *argv, "--model", "s3", "--out", str(target)) == (
+            2, "", f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        )
 
     def test_missing_model_file(self, capsys, tmp_path):
         path = tmp_path / "missing.json"

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 
 import pytest
 
+from cqg.cli import main
 from cqg.errors import ModelConsistencyError, ModelSchemaError, PreconditionError
+from cqg.kac_degree import is_kac, n_G
 from cqg.models import (
     BUILTIN_NAMES,
     _certify,
@@ -19,6 +22,7 @@ from cqg.models import (
     rho_defining_property_oracle,
 )
 from cqg.rep_data import (
+    DEFAULT_TOLERANCE,
     RhoSpectrum,
     load_model,
     model_to_document,
@@ -171,6 +175,11 @@ class TestFreeOrthogonal:
         with pytest.raises(PreconditionError):
             builtin_free_orthogonal_fund([0.0, 0.0])
 
+    @pytest.mark.parametrize("f_diag", [[1, 1e150, 1], [1, 1e12, 1e-12], [1, 1, 2], [1, 2, 3]])
+    def test_wide_spreads_inside_the_float_range_build(self, f_diag):
+        m = builtin_free_orthogonal_fund(f_diag)
+        assert m.rho("f").is_balanced() and m.rho("fbar").is_balanced()
+
 
 class TestResolveBuiltin:
     def test_known_names(self):
@@ -213,3 +222,43 @@ def test_built_in_and_loaded_models_fail_with_one_message(planted, issues):
         load_model(model_to_document(broken))
     assert str(built_in.value) == f"built-in model {m.name!r} failed validation: {details}{more}"
     assert str(loaded.value) == f"model {m.name!r} failed validation: {details}{more}"
+
+
+class TestInverseQ:
+    """su_q_2 at q and at 1/q is one compact quantum group: same data, same verdict counts."""
+
+    CASES = [(0.5, 8), (0.8, 6), (0.2, 8)]
+    # (exit code, results, truncations, violations) per level
+    COUNTS = {
+        ("theorem-5.3", 8): (0, 2187, 1962, 0),
+        ("haar-modular", 8): (0, 171, 112, 0),
+        ("theorem-5.3", 6): (0, 882, 770, 0),
+        ("haar-modular", 6): (0, 105, 66, 0),
+    }
+
+    @pytest.mark.parametrize("q, level", CASES)
+    def test_same_model_data(self, q, level):
+        m, inverse = builtin_su_q_2(q, level), builtin_su_q_2(1 / q, level)
+        assert m.labels == inverse.labels
+        for label in m.labels:
+            assert m.dim(label) == inverse.dim(label)
+            spectrum, other = tuple(m.rho(label)), tuple(inverse.rho(label))  # both descending
+            assert len(spectrum) == len(other)
+            assert all(DEFAULT_TOLERANCE.close(x, y) for x, y in zip(spectrum, other))
+        assert m.fusion.pairs() == inverse.fusion.pairs()
+        for pair in m.fusion.pairs():
+            assert m.fusion.components(*pair) == inverse.fusion.components(*pair)
+        assert is_kac(m) is is_kac(inverse) is False
+        assert n_G(m) == n_G(inverse) == level + 1
+
+    @pytest.mark.parametrize("what", ["theorem-5.3", "haar-modular"])
+    @pytest.mark.parametrize("q, level", CASES)
+    def test_same_verdict_counts(self, capsys, q, level, what):
+        counts = []
+        for value in (q, 1 / q):
+            argv = ["verify", what, "--q", repr(value), "--max-level", str(level)]
+            code = main([*argv, "--format", "json"])
+            report = json.loads(capsys.readouterr().out)
+            sections = ("results", "truncations", "violations")
+            counts.append((code, *(len(report[k]) for k in sections)))
+        assert counts[0] == counts[1] == self.COUNTS[what, level]
