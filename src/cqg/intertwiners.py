@@ -414,6 +414,15 @@ def verify_modular(
     lam_alpha = np.asarray(tuple(m.rho(alpha)))
     d_alpha = float(m.rho(alpha).trace())
 
+    # the first leg's largest expected entry is d_alpha * max(rho_alpha) * max(rho**-2)
+    smallest = min([1.0] + [min(m.rho(label)) for label in {pair[1] for pair in pairs}])
+    with np.errstate(over="ignore"):  # an overflow here is the answer, not a warning
+        peak = d_alpha * lam_alpha.max() * np.float64(smallest) ** -2.0
+    if not peak < math.inf:
+        raise PreconditionError(
+            f"model {m.name!r} leaves the float range in the modular check of {alpha!r}: "
+            "d_alpha * max(rho_alpha) * max(rho**-2) overflows"
+        )
     pair_tensors = {pair: _tensors_into(m, *pair, alpha) for pair in pairs}
     bound = max(tol.abs, tol.rel)
 

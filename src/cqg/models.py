@@ -191,7 +191,12 @@ def builtin_finite_group_dual(which: str) -> QGModel:
         return _s3_dual()
     if token.startswith("cyclic"):
         tail = token[len("cyclic") :].strip()
-        if tail.isdigit():
+        if tail.isascii() and tail.isdigit():  # str.isdigit alone admits "²", which int() refuses
+            if len(tail.lstrip("0")) > 20:  # int() refuses over 4300 digits; the cap is n <= 1000
+                raise PreconditionError(
+                    f"cyclic group order has {len(tail)} digits, above the cap of 10**6 "
+                    "fusion entries (n <= 1000)"
+                )
             return _cyclic_dual(int(tail))
     raise PreconditionError(f"unsupported group dual {which!r}; use 's3' or 'cyclic <n>'")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .intertwiners import CGTensor, _certify_complete, _cg_record
+from .intertwiners import _certify_complete, _cg_record
 from .rep_data import DEFAULT_TOLERANCE, QGModel, RhoSpectrum, Tolerance
 
 
@@ -111,38 +111,42 @@ def _log_rho(m: QGModel, label: str) -> np.ndarray:
     return m._memo(("log-rho", label), lambda: np.array([math.log(lam) for lam in m.rho(label)]))
 
 
-def _adjoint(m: QGModel, t: CGTensor) -> np.ndarray:
-    """V* of a stored CG tensor, held once per model however many plans use it."""
-    key = ("cg-adjoint", t.beta, t.gamma, t.alpha, t.copy_index)
-    return m._memo(key, lambda: t.matrix.conj().T)
-
-
 def _theorem_5_3_plan(m: QGModel, alpha: str, beta: str) -> tuple:
     """What both identities need for (alpha, beta) at any (s, t), built once per model.
 
     One entry per equation, eq1 with gamma in the first slot, eq2 in the
-    second: the completeness certificate and the terms (gamma, d_gamma,
-    [(V*, V) ...]) over the gammas whose pair with beta contains alpha.
+    second: the completeness certificate, the live (a, a') entries of the
+    left-hand side (the diagonal and every pair some CG row is nonzero at; all
+    others are an exact 0) as (rows, cols), and the terms (gamma, d_gamma,
+    [conj(V[:, rows]) * V[:, cols] ...]) over the gammas whose pair with beta
+    contains alpha: a point's left-hand side is its 0/1 row weights times those.
     """
 
-    def plan_equation(first_is_gamma: bool) -> tuple[bool, list]:
+    def plan_equation(first_is_gamma: bool) -> tuple:
         complete, _ = _certify_complete(m, alpha, beta, not first_is_gamma, m.fusion)
-        terms = []
+        found = []
         for gamma in m.labels:
             pair = (gamma, beta) if first_is_gamma else (beta, gamma)
             if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
                 continue
-            vs = [(_adjoint(m, t), t.matrix) for t in _cg_record(m, *pair)["into"][alpha]]
-            terms.append((gamma, float(m.rho(gamma).trace()), vs))
-        return complete, terms
+            vs = [t.matrix for t in _cg_record(m, *pair)["into"][alpha]]
+            found.append((gamma, float(m.rho(gamma).trace()), vs))
+        nonzero = np.vstack([np.eye(m.dim(alpha))] + [v != 0 for _, _, vs in found for v in vs])
+        rows, cols = np.nonzero(nonzero.T @ nonzero)
+        terms = [(gamma, d, [v[:, rows].conj() * v[:, cols] for v in vs]) for gamma, d, vs in found]
+        return complete, (rows, cols), terms
 
     key = ("theorem-5.3", alpha, beta)
     return m._memo(key, lambda: (plan_equation(True), plan_equation(False)))
 
 
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """Operator 2-norm of each matrix of a stack, as np.linalg.norm(x, 2) computes it."""
-    return np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0)
+def _norms(live: np.ndarray, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """2-norm of each row of live as the n x n matrix that is 0 off (rows, cols), as SVD has it."""
+    if np.array_equal(rows, cols):  # a real diagonal matrix's 2-norm is its largest |entry|
+        return np.abs(live).max(axis=1)
+    dense = np.zeros((len(live), n, n), dtype=complex)
+    dense[:, rows, cols] = live
+    return np.linalg.svd(dense, compute_uv=False).max(axis=-1, initial=0)
 
 
 def _theorem_5_3_sweep(
@@ -178,31 +182,31 @@ def _theorem_5_3_sweep(
         mask_beta = masks(log_beta, [t for _, t in chunk])
         mask_gamma = {
             gamma: masks(_log_rho(m, gamma), [s for s, _ in chunk])
-            for gamma in dict.fromkeys(g for _, terms in (eq1, eq2) for g, _, _ in terms)
+            for gamma in dict.fromkeys(g for _, _, terms in (eq1, eq2) for g, _, _ in terms)
         }
         dim_beta = mask_beta.sum(axis=1)
         dim_alpha = mask_alpha.sum(axis=1)
         on_grid = (dim_beta > 0) & (dim_alpha > 0)
-        rhs_diag = mask_alpha.astype(float)[:, :, None] * np.eye(n)
         ts = np.array([t for _, t in chunk])
         # per equation, eq1 with gamma in the first slot: residuals, lhs and rhs norms per point
         residual, lhs_norm, rhs_norm = [], [], []
-        for (_, terms), first_is_gamma, c in (
+        for (_, (rows, cols), terms), first_is_gamma, c in (
             (eq1, True, d_alpha / ts * dim_beta),
             (eq2, False, d_alpha * ts * dim_beta),
         ):
-            lhs = np.zeros((len(chunk), n, n), dtype=complex)
-            for gamma, d_gamma, tensors in terms:
+            lhs = np.zeros((len(chunk), len(rows)), dtype=complex)  # the live entries only
+            for gamma, d_gamma, products in terms:
                 left, right = (mask_gamma[gamma], mask_beta)[:: 1 if first_is_gamma else -1]
-                weight = (left[:, :, None] & right[:, None, :]).reshape(len(chunk), -1, 1)
+                weight = (left[:, :, None] & right[:, None, :]).reshape(len(chunk), -1)
                 weight = weight.astype(float)
-                for vh, v in tensors:
-                    lhs += d_gamma * (vh @ (weight * v))
-            norm = _norms(lhs)
+                for p in products:
+                    lhs += d_gamma * (weight @ p)
+            norm = _norms(lhs, n, rows, cols)
             rhs = np.where(dim_alpha > 0, np.abs(c), 0.0)  # c P_alpha(st) has norm |c| or 0
             res = norm.copy()  # off the grid the right-hand side is zero
             if on_grid.any():
-                diff = _norms(lhs[on_grid] - c[on_grid, None, None] * rhs_diag[on_grid])
+                p_alpha = mask_alpha[on_grid][:, rows] & (rows == cols)
+                diff = _norms(lhs[on_grid] - c[on_grid, None] * p_alpha, n, rows, cols)
                 res[on_grid] = diff / np.maximum(rhs[on_grid], 1.0)
             residual.append(res.tolist())
             lhs_norm.append(norm.tolist())

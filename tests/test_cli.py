@@ -258,6 +258,8 @@ class TestExitCodeTwo:
              "F_diag [1.0, 1e-160, 1.0] leaves the float range"),
             (("spectra", "--model", "free_orthogonal", "--f-diag", "1e154,1e154"),
              "F_diag [1e+154, 1e+154] leaves the float range"),
+            (("dims", "--model", "cyclic\u00b2"), "unsupported group dual 'cyclic\u00b2'"),
+            (("dims", "--model", "cyclic" + "9" * 5000), "5000 digits"),
         ],
     )
     def test_usage_errors(self, capsys, argv, needle):
@@ -266,6 +268,27 @@ class TestExitCodeTwo:
         assert out == ""
         assert err.startswith("error:")
         assert needle in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("f_diag, code", [("1,1e150,1", 2), ("1,1e-150,1", 2),
+                                              ("1,1e70,1", 0), ("1,1e-70,1", 0)])
+    def test_wide_f_diag_is_refused_before_the_modular_check_overflows(
+        self, capsys, f_diag, code
+    ):
+        # a spread whose d_alpha * max(rho_alpha) * max(rho**-2) overflows exits 2, without a
+        # RuntimeWarning; one just inside the float range checks with finite residuals
+        got, out, err = run_cli(
+            capsys, "verify", "haar-modular", "--model", "free_orthogonal", "--f-diag", f_diag,
+            "--format", "json",
+        )
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: model 'free_orthogonal(F=[1,1e")
+            assert "leaves the float range in the modular check" in err
+        else:
+            assert err == ""
+            assert all(math.isfinite(x) for x in walk_floats(json.loads(out)))
 
     @pytest.mark.parametrize(
         "plant, needle",

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqg import resolve_builtin, spectral
 from cqg.errors import PreconditionError
-from cqg.rep_data import DEFAULT_TOLERANCE, RhoSpectrum, Tolerance, normalize_rho
+from cqg.intertwiners import cg_supplement_document
+from cqg.rep_data import (
+    DEFAULT_TOLERANCE,
+    RhoSpectrum,
+    Tolerance,
+    load_model,
+    model_to_document,
+    normalize_rho,
+)
 from cqg.spectral import (
     _theorem_5_3_plan,
     _theorem_5_3_sweep,
@@ -218,6 +227,7 @@ class TestTheorem53:
         ("s3", {}),
         ("cyclic5", {}),
         ("free_orthogonal", {"f_diag": [1.0, 2.0, 3.0]}),
+        ("su_q_2", {"q": 0.81, "max_level": 8}),
     ],
 )
 def test_theorem_5_3_equals_the_dense_reference(name, params):
@@ -236,6 +246,61 @@ def test_theorem_5_3_equals_the_dense_reference(name, params):
                 assert list(result.items()) == list(want.items()), (alpha, beta, s, t)
                 support_kinds.add((result["dim_h_beta_t"] > 0, result["dim_h_alpha_st"] > 0))
     assert support_kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _diagonal_plans(m):
+    # per (alpha, beta) and equation: is the planned left-hand side diagonal-only?
+    return {
+        (alpha, beta, eq): bool(np.array_equal(rows, cols))
+        for alpha in m.labels
+        for beta in m.labels
+        for eq, (_, (rows, cols), _) in enumerate(_theorem_5_3_plan(m, alpha, beta))
+    }
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("su_q_2", {"q": 0.5, "max_level": 14}),
+        ("su_q_2", {"q": 2.0, "max_level": 14}),
+        ("su_q_2", {"q": 1.0, "max_level": 14}),
+        ("su_q_2", {"q": 0.81, "max_level": 14}),
+        ("cyclic5", {}),
+        ("free_orthogonal", {}),
+        ("free_orthogonal", {"f_diag": [1.0, 2.0, 3.0]}),
+    ],
+)
+def test_weight_graded_models_plan_diagonal_left_hand_sides(name, params):
+    # each CG row meets one basis vector of alpha, so every norm is a max |entry|
+    assert all(_diagonal_plans(resolve_builtin(name, **params)).values())
+
+
+def test_s3_plans_dense_left_hand_sides_on_std():
+    # the group-average CG of std x std mixes both basis vectors: the SVD path
+    m = resolve_builtin("s3")
+    diagonal = _diagonal_plans(m)
+    assert diagonal == {key: m.dim(key[0]) == 1 for key in diagonal}
+    assert not all(diagonal.values())
+
+
+def test_an_off_weight_cg_entry_widens_the_live_set():
+    # a loaded tensor entry off the weight rule (below the gate) must reach the left-hand side
+    m = resolve_builtin("su_q_2", q=0.5, max_level=4)
+    doc = model_to_document(m)
+    doc["cg"] = cg_supplement_document(m, m.fusion.pairs())
+    (entry,) = [e for e in doc["cg"] if (e["beta"], e["gamma"], e["alpha"]) == ("1", "1", "2")]
+    entry["coeffs"].append([0, 1, 0, 1e-13, 0.0])  # a = 0 at row (1, 0), which holds a = 1
+    planted = load_model(doc)
+    for _, (rows, cols), _ in _theorem_5_3_plan(planted, "2", "1"):
+        assert {(0, 1), (1, 0)} <= set(zip(rows.tolist(), cols.tolist()))
+    points = _grid_and_off_support(planted, "2", "1")
+    swept = _theorem_5_3_sweep(planted, "2", "1", points, DEFAULT_TOLERANCE)
+    clean = _theorem_5_3_sweep(m, "2", "1", points, DEFAULT_TOLERANCE)
+    for (s, t), result in zip(points, swept):
+        want = theorem_5_3_reference(planted, "2", "1", s, t, DEFAULT_TOLERANCE)
+        assert list(result.items()) == list(want.items()), (s, t)
+    worst = max(max(r["residual_eq1"], r["residual_eq2"]) for r in swept)
+    assert worst > 1e-14 > max(max(r["residual_eq1"], r["residual_eq2"]) for r in clean)
 
 
 def _grid_and_off_support(m, alpha, beta):
@@ -292,7 +357,7 @@ def test_sweep_fetches_each_plan_entry_once(monkeypatch):
             points = spectral_grid(m, alpha, beta, probes=2)
             _theorem_5_3_sweep(m, alpha, beta, points, DEFAULT_TOLERANCE)
             _theorem_5_3_sweep(m, alpha, beta, points[:1], DEFAULT_TOLERANCE)
-            entries += sum(len(terms) for _, terms in _theorem_5_3_plan(m, alpha, beta))
+            entries += sum(len(terms) for _, _, terms in _theorem_5_3_plan(m, alpha, beta))
     assert 0 < len(calls) <= entries
 
 
