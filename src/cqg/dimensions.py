@@ -28,6 +28,13 @@ class EigenLists:
     backward: tuple[float, ...]
 
 
+def _logsumexp(values: Sequence[float]) -> float:
+    top = max(values)
+    if not math.isfinite(top):
+        return top
+    return top + math.log(sum(math.exp(v - top) for v in values))
+
+
 def dim_t(s: RhoSpectrum, t: float) -> float:
     """sum(lambda_i ** t); dim at t = 0, quantum dimension at t = 1.
 
@@ -36,9 +43,8 @@ def dim_t(s: RhoSpectrum, t: float) -> float:
     raising overflow.
     """
     logs = [t * math.log(v) for v in s]
-    m = max(logs)
-    if m > 700.0:
-        log_value = m + math.log(sum(math.exp(x - m) for x in logs))
+    if max(logs) > 700.0:
+        log_value = _logsumexp(logs)
         # past double range the only faithful float is inf
         return math.exp(log_value) if log_value <= 709.0 else math.inf
     return sum(math.exp(x) for x in logs)

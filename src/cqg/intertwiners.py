@@ -27,6 +27,7 @@ from .errors import (
     ModelConsistencyError,
     ModelSchemaError,
     PreconditionError,
+    TruncationError,
 )
 from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance
 
@@ -304,22 +305,16 @@ def cg_intertwining_residual(m: QGModel, t: CGTensor) -> float:
 # Comultiplication on matrix units, Haar weight, modular identities
 
 
-def _cg_for_target(m: QGModel, beta: str, gamma: str, alpha: str) -> Sequence[CGTensor] | None:
-    """Tensors of the ingested pair (beta, gamma) into alpha; None when its CG is unavailable."""
-    try:
-        return _cg_record(m, beta, gamma)["into"].get(alpha, ())
-    except CGUnavailableError:
-        return None
-
-
-def _tensors_into(m: QGModel, beta: str, gamma: str, alpha: str) -> Sequence[CGTensor]:
+def _tensors_into(
+    m: QGModel, beta: str, gamma: str, alpha: str, tol: Tolerance = DEFAULT_TOLERANCE
+) -> Sequence[CGTensor]:
     """Tensors of (beta, gamma) into alpha ([] if none); raises if the pair or its CG is absent."""
     if m.fusion.components(beta, gamma).get(alpha, 0) == 0:
         return []
-    tensors = _cg_for_target(m, beta, gamma, alpha)
-    if tensors is None:
-        raise CGUnavailableError(f"no Clebsch-Gordan data for pair ({beta!r}, {gamma!r})")
-    return tensors
+    try:
+        return _cg_record(m, beta, gamma, tol)["into"][alpha]
+    except CGUnavailableError:
+        raise CGUnavailableError(f"no Clebsch-Gordan data for pair ({beta!r}, {gamma!r})") from None
 
 
 def _canonical_pairs(m: QGModel, support: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -423,7 +418,8 @@ def verify_modular(
             f"model {m.name!r} leaves the float range in the modular check of {alpha!r}: "
             "d_alpha * max(rho_alpha) * max(rho**-2) overflows"
         )
-    pair_tensors = {pair: _tensors_into(m, *pair, alpha) for pair in pairs}
+    pair_tensors = {pair: _tensors_into(m, *pair, alpha, tol) for pair in pairs}
+    support = set(pairs)
     bound = max(tol.abs, tol.rel)
 
     def leg_blocks(fixed_left: bool, power: float, spec: str) -> list[dict]:
@@ -435,23 +431,24 @@ def verify_modular(
         contracts one tensor into the (a, a', fixed, fixed') array of the leg.
         """
         k = 0 if fixed_left else 1
+        by_fixed: dict[str, list[tuple[str, str]]] = {}
+        for pair in sorted(pairs, key=lambda p: (order[p[k]], order[p[1 - k]])):
+            by_fixed.setdefault(pair[k], []).append(pair)
         blocks = []
-        for label in sorted({pair[k] for pair in pairs}, key=order.get):
+        for label, group in by_fixed.items():
             n = m.dim(label)
             expected_diag = np.asarray(tuple(m.rho(label))) ** power
             acc = np.zeros((len(lam_alpha), len(lam_alpha), n, n), dtype=complex)
-            for pair, tensors in pair_tensors.items():
-                if pair[k] != label:
-                    continue
+            for pair in group:
                 lam_other = np.asarray(tuple(m.rho(pair[1 - k])))
                 d_other = float(m.rho(pair[1 - k]).trace())
-                for t in tensors:
+                for t in pair_tensors[pair]:
                     acc += d_other * np.einsum(spec, t.coeffs, lam_other, t.coeffs.conj())
             expected = np.multiply.outer(np.diag(d_alpha * lam_alpha), np.diag(expected_diag))
             diff = float(np.max(np.abs(acc - expected)))
             scale = max(1.0, d_alpha * float(lam_alpha.max()) * float(expected_diag.max()))
             resid = diff / scale
-            complete, missing = _certify_complete(m, alpha, label, fixed_left, pairs)
+            complete, missing = _certify_complete(m, alpha, label, fixed_left, support)
             blocks.append(
                 {"label": label, "residual": resid, "complete": complete, "missing": missing,
                  "pass": resid <= bound if complete else None}
@@ -491,34 +488,31 @@ def verify_coassociativity(
     n_a = m.dim(alpha)
     bound = max(tol.abs, tol.rel)
 
-    # candidate triples from both expansions
-    triples: set[tuple[str, str, str]] = set()
+    # candidate triples: a support pair (beta, x) or (x, gamma) whose row holds alpha meets
+    # each fusion entry (left, right, x) as (right, left, beta) or (gamma, right, left)
+    by_left: dict[str, list[str]] = {}
+    by_right: dict[str, list[str]] = {}
     for beta, gamma in pairs:
-        if m.fusion.components(beta, gamma).get(alpha, 0) == 0:
-            continue
-        for left, right in m.fusion.pairs():
-            row = m.fusion.components(left, right)
-            if gamma in row:
-                triples.add((right, left, beta))
-            if beta in row:
-                triples.add((gamma, right, left))
+        if alpha in m.fusion.components(beta, gamma):
+            by_left.setdefault(beta, []).append(gamma)
+            by_right.setdefault(gamma, []).append(beta)
+    triples: set[tuple[str, str, str]] = set()
+    for left, right in m.fusion.pairs():
+        for x in m.fusion.components(left, right):
+            triples.update((right, left, beta) for beta in by_right.get(x, ()))
+            triples.update((gamma, right, left) for gamma in by_left.get(x, ()))
 
-    def contributors(inner: tuple[str, str], outer_pair) -> list | None:
-        """(outer, inner) tensor pairs over the components x of the inner pair, or None.
+    def contributors(inner: tuple[str, str], outer_pair) -> list:
+        """(outer, inner) tensor pairs over the components x of the inner pair.
 
         The first-leg expansion of triple (p, q, r) has inner pair (q, p) and
         outer pair (r, x); the second-leg expansion has (r, q) and (x, p).
+        A pair outside the fragment, or without CG data, raises.
         """
-        if inner not in m.fusion:
-            return None
         out = []
         for x in m.fusion.components(*inner):
-            if outer_pair(x) not in m.fusion:
-                return None
-            outer = _cg_for_target(m, *outer_pair(x), alpha)
-            inner_all = _cg_for_target(m, *inner, x)
-            if outer is None or inner_all is None:
-                return None
+            outer = _cg_record(m, *outer_pair(x), tol)["into"].get(alpha, ())
+            inner_all = _cg_record(m, *inner, tol)["into"][x]
             out += [(t_out, t_in) for t_out in outer for t_in in inner_all]
         return out
 
@@ -526,9 +520,10 @@ def verify_coassociativity(
     skipped: list[dict] = []
     max_residual = 0.0
     for p, q, r in sorted(triples, key=lambda t: (order[t[0]], order[t[1]], order[t[2]])):
-        left = contributors((q, p), lambda x: (r, x))
-        right = contributors((r, q), lambda x: (x, p))
-        if left is None or right is None:
+        try:
+            left = contributors((q, p), lambda x: (r, x))
+            right = contributors((r, q), lambda x: (x, p))
+        except (TruncationError, CGUnavailableError):
             skipped.append({"triple": [p, q, r], "reason": "contributing sum leaves the fragment"})
             continue
         size = m.dim(p) * m.dim(q) * m.dim(r)
@@ -716,7 +711,6 @@ class UnitPairCGProvider:
     def __call__(
         self, model: QGModel, beta: str, gamma: str
     ) -> list[tuple[str, int, np.ndarray]]:
-        model.fusion.components(beta, gamma)
         triv = model.trivial
         if beta == triv:
             n = model.dim(gamma)
@@ -795,9 +789,9 @@ class GroupAverageCGProvider:
 def _check_cg_rows(rows: list) -> None:
     """Require every row to be a list of five finite numbers, bools excluded.
 
-    C-level passes over all rows prove the common case (exact list rows of
+    C-level passes over the rows prove the common case (exact list rows of
     exact ints and finite floats); only when they cannot does the row walk
-    run, naming the first fault in document order.
+    run, naming the first fault in row order.
     """
     try:
         if (
@@ -828,39 +822,31 @@ def supplement_cg_provider(raw: Any):
 
     Each entry: {"alpha", "beta", "gamma", "i", "coeffs": [[a, b, c, re, im], ...]}
     with 0-based non-negative integer basis indices and 1-based copy index i.
+    Each entry is checked as it is read, fields before rows: the first fault in document order wins.
     """
     if not isinstance(raw, list):
         raise ModelSchemaError("model field 'cg' must be a list")
     data: dict[tuple[str, str], list[tuple[str, int, list]]] = {}
-    coeff_lists: list[list] = []
-    fault: Exception | None = None
     for entry in raw:
+        if not isinstance(entry, Mapping):
+            raise ModelSchemaError("each 'cg' entry must be an object")
         try:
-            if not isinstance(entry, Mapping):
-                raise ModelSchemaError("each 'cg' entry must be an object")
-            try:
-                alpha = str(entry["alpha"])
-                beta = str(entry["beta"])
-                gamma = str(entry["gamma"])
-                i = entry["i"]
-                if isinstance(i, float) and i.is_integer():
-                    i = int(i)
-                if isinstance(i, bool) or not isinstance(i, int) or i < 1:
-                    raise ModelSchemaError("'cg' entry field 'i' must be an integer >= 1")
-                copy_index = int(i)
-                coeffs = entry["coeffs"]
-            except KeyError as exc:
-                raise ModelSchemaError(f"'cg' entry missing field {exc}") from exc
-            if not isinstance(coeffs, list):
-                raise ModelSchemaError("'cg' coeffs must be a list of [a, b, c, re, im] rows")
-        except ModelSchemaError as exc:
-            fault = exc  # raised after the rows of the entries before this one are checked
-            break
-        coeff_lists.append(coeffs)
+            alpha = str(entry["alpha"])
+            beta = str(entry["beta"])
+            gamma = str(entry["gamma"])
+            i = entry["i"]
+            if isinstance(i, float) and i.is_integer():
+                i = int(i)
+            if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+                raise ModelSchemaError("'cg' entry field 'i' must be an integer >= 1")
+            copy_index = int(i)
+            coeffs = entry["coeffs"]
+        except KeyError as exc:
+            raise ModelSchemaError(f"'cg' entry missing field {exc}") from exc
+        if not isinstance(coeffs, list):
+            raise ModelSchemaError("'cg' coeffs must be a list of [a, b, c, re, im] rows")
+        _check_cg_rows(coeffs)
         data.setdefault((beta, gamma), []).append((alpha, copy_index, coeffs))
-    _check_cg_rows(list(chain.from_iterable(coeff_lists)))
-    if fault is not None:
-        raise fault
 
     def provider(model: QGModel, beta: str, gamma: str) -> list[tuple[str, int, np.ndarray]]:
         items = data.get((beta, gamma))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimensions import symmetry_check
+from .dimensions import _logsumexp, symmetry_check
 from .errors import ModelConsistencyError, PreconditionError, TruncationError
 from .fusion import _fuse
 from .intertwiners import C00Element
@@ -515,20 +515,11 @@ def subsequence_refine(
     }
 
 
-def _logsumexp(values: Sequence[float]) -> float:
-    top = max(values)
-    if not math.isfinite(top):
-        return top
-    return top + math.log(sum(math.exp(v - top) for v in values))
-
-
 def main_inequality_eval(
     step_a: SequenceStep,
     step_b: SequenceStep,
     gamma_alpha: float,
     n_dim: int,
-    theta_a: ThetaForm | None = None,
-    theta_b: ThetaForm | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> dict:
     """Evaluate the two sides of the final contradiction bound for a refined pair.
@@ -547,8 +538,8 @@ def main_inequality_eval(
         )
     if step_b.k - step_a.k < 2:
         raise PreconditionError("steps must be at least 2 apart in k")
-    theta_a = theta_a if theta_a is not None else theta_normal_form(step_a.spectrum, tol)
-    theta_b = theta_b if theta_b is not None else theta_normal_form(step_b.spectrum, tol)
+    theta_a = theta_normal_form(step_a.spectrum, tol)
+    theta_b = theta_normal_form(step_b.spectrum, tol)
     ea, eb = 2 ** (step_a.k - 1), 2 ** (step_b.k - 1)
     log_gamma = math.log(gamma_alpha)
     log_lower = math.log(step_b.d1) - math.log(step_a.d1) + (ea - eb) * log_gamma

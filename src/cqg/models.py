@@ -35,14 +35,12 @@ from .rep_data import (
 
 
 def rho_defining_property_oracle(
-    candidate: RhoSpectrum, end_dim: int = 1, tol: Tolerance = DEFAULT_TOLERANCE
+    candidate: RhoSpectrum, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> bool:
     """Certify a spectrum against the normalization Tr(. rho) = Tr(. rho^{-1}).
 
     On the commutant of an irreducible the condition has a single scalar
-    instance and collapses to the trace balance sum(lambda) = sum(1/lambda);
-    ``end_dim`` records the commutant dimension the caller is asserting and
-    1 is the only case the oracle covers.
+    instance and collapses to the trace balance sum(lambda) = sum(1/lambda).
     """
     spectrum = candidate if isinstance(candidate, RhoSpectrum) else RhoSpectrum(tuple(candidate))
     return spectrum.is_balanced(tol)

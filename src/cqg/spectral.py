@@ -111,8 +111,10 @@ def _log_rho(m: QGModel, label: str) -> np.ndarray:
     return m._memo(("log-rho", label), lambda: np.array([math.log(lam) for lam in m.rho(label)]))
 
 
-def _theorem_5_3_plan(m: QGModel, alpha: str, beta: str) -> tuple:
-    """What both identities need for (alpha, beta) at any (s, t), built once per model.
+def _theorem_5_3_plan(
+    m: QGModel, alpha: str, beta: str, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple:
+    """What both identities need for (alpha, beta) at any (s, t), built once per model and CG bound.
 
     One entry per equation, eq1 with gamma in the first slot, eq2 in the
     second: the completeness certificate, the live (a, a') entries of the
@@ -120,6 +122,7 @@ def _theorem_5_3_plan(m: QGModel, alpha: str, beta: str) -> tuple:
     others are an exact 0) as (rows, cols), and the terms (gamma, d_gamma,
     [conj(V[:, rows]) * V[:, cols] ...]) over the gammas whose pair with beta
     contains alpha: a point's left-hand side is its 0/1 row weights times those.
+    A plan reads, and so gates, its CG records once: each max(tol.abs, 1e-9) has its own.
     """
 
     def plan_equation(first_is_gamma: bool) -> tuple:
@@ -129,14 +132,14 @@ def _theorem_5_3_plan(m: QGModel, alpha: str, beta: str) -> tuple:
             pair = (gamma, beta) if first_is_gamma else (beta, gamma)
             if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
                 continue
-            vs = [t.matrix for t in _cg_record(m, *pair)["into"][alpha]]
+            vs = [t.matrix for t in _cg_record(m, *pair, tol)["into"][alpha]]
             found.append((gamma, float(m.rho(gamma).trace()), vs))
         nonzero = np.vstack([np.eye(m.dim(alpha))] + [v != 0 for _, _, vs in found for v in vs])
         rows, cols = np.nonzero(nonzero.T @ nonzero)
         terms = [(gamma, d, [v[:, rows].conj() * v[:, cols] for v in vs]) for gamma, d, vs in found]
         return complete, (rows, cols), terms
 
-    key = ("theorem-5.3", alpha, beta)
+    key = ("theorem-5.3", alpha, beta, max(tol.abs, 1e-9))
     return m._memo(key, lambda: (plan_equation(True), plan_equation(False)))
 
 
@@ -167,7 +170,7 @@ def _theorem_5_3_sweep(
     d_alpha = float(m.rho(alpha).trace())
     n = m.dim(alpha)
     log_beta = _log_rho(m, beta)
-    eq1, eq2 = _theorem_5_3_plan(m, alpha, beta)
+    eq1, eq2 = _theorem_5_3_plan(m, alpha, beta, tol)
     bound = max(tol.abs, tol.rel)
 
     def masks(logs: np.ndarray, values) -> np.ndarray:

@@ -358,6 +358,26 @@ def coassociativity_dense_reference(rhs: np.ndarray, lhs: np.ndarray) -> float:
     return diff / scale
 
 
+def coassociativity_triples_reference(m, alpha: str, support) -> set[tuple[str, str, str]]:
+    """Every triple (p, q, r) that coassociativity must enumerate, over all label triples.
+
+    A triple is kept when, for some x, either x is in the row of the ingested
+    pair (q, p) and (r, x) is a support pair whose row holds alpha, or x is in
+    the row of the ingested pair (r, q) and (x, p) is such a pair.
+    """
+    holding = {(b, g) for b, g in support if alpha in m.fusion.components(b, g)}
+
+    def row(pair):
+        return m.fusion.components(*pair) if pair in m.fusion else {}
+
+    return {
+        (p, q, r)
+        for p, q, r in itertools.product(m.labels, repeat=3)
+        if any((r, x) in holding for x in row((q, p)))
+        or any((x, p) in holding for x in row((r, q)))
+    }
+
+
 def drop_grouped_greedy(points, eigen_group: float) -> list[tuple[float, float]]:
     """points in order, less each one an earlier kept point groups with, one point at a time.
 

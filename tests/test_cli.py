@@ -217,6 +217,23 @@ class TestExitCodeOne:
         assert err.startswith("consistency violation:")
         assert "fails unitarity" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("cg", "--beta", "11", "--gamma", "4"),
+            ("verify", "theorem-5.3", "--alpha", "7", "--beta", "4"),
+            ("verify", "haar-modular", "--alpha", "15"),
+        ],
+    )
+    def test_tol_reaches_the_cg_gate(self, capsys, command):
+        # the CG stack of (11, 4) at q 0.5 holds unitarity to 3.840e-09: inside 1e-8, not 1e-9
+        model = ("--model", "su_q_2", "--q", "0.5", "--max-level", "15")
+        code, _, err = run_cli(capsys, *command, *model, "--tol", "1e-8")
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, *command, *model)
+        assert (code, out) == (1, "")
+        assert "CG data for ('11', '4') fails unitarity" in err
+
 
 class TestExitCodeTwo:
     @pytest.mark.parametrize(

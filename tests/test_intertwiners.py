@@ -359,6 +359,26 @@ class TestCoassociativity:
         for skip in result["skipped"]:
             assert skip["reason"]
 
+    @pytest.mark.parametrize(
+        "name, kwargs, step",
+        [
+            ("s3", {}, 1),
+            ("cyclic5", {}, 1),
+            ("su_q_2", {"q": 0.5, "max_level": 6}, 1),
+            ("su_q_2", {"q": 2.0, "max_level": 5}, 1),
+            ("free_orthogonal", {}, 1),
+            ("su_q_2", {"q": 0.5, "max_level": 6}, 2),  # every other pair as the support
+        ],
+    )
+    def test_enumerated_triples_equal_brute_force(self, name, kwargs, step):
+        m = resolve_builtin(name, **kwargs)
+        support = list(m.fusion.pairs())[::step]
+        for alpha in m.labels:
+            result = verify_coassociativity(m, alpha, support)
+            got = [tuple(t["triple"]) for t in result["triples"] + result["skipped"]]
+            assert len(got) == len(set(got)), alpha
+            assert set(got) == oracles.coassociativity_triples_reference(m, alpha, support), alpha
+
 
 @pytest.fixture(scope="module")
 def cyclic7_dual():

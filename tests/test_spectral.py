@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqg import resolve_builtin, spectral
-from cqg.errors import PreconditionError
+from cqg.errors import ModelConsistencyError, PreconditionError
 from cqg.intertwiners import cg_supplement_document
 from cqg.rep_data import (
     DEFAULT_TOLERANCE,
@@ -359,6 +359,16 @@ def test_sweep_fetches_each_plan_entry_once(monkeypatch):
             _theorem_5_3_sweep(m, alpha, beta, points[:1], DEFAULT_TOLERANCE)
             entries += sum(len(terms) for _, _, terms in _theorem_5_3_plan(m, alpha, beta))
     assert 0 < len(calls) <= entries
+
+
+def test_each_cg_bound_gets_its_own_plan():
+    # the CG stack of (11, 4) at q 0.5 holds unitarity to 3.840e-09: inside 1e-8, not 1e-9
+    m = resolve_builtin("su_q_2", q=0.5, max_level=15)
+    points = spectral_grid(m, "7", "4", probes=2)
+    loose = Tolerance(1e-8, 1e-8, 1e-8)
+    assert all(r["pass"] for r in _theorem_5_3_sweep(m, "7", "4", points, loose))
+    with pytest.raises(ModelConsistencyError, match=r"\('11', '4'\) fails unitarity"):
+        _theorem_5_3_sweep(m, "7", "4", points, DEFAULT_TOLERANCE)
 
 
 @pytest.mark.parametrize(
