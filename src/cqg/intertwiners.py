@@ -32,6 +32,8 @@ from .errors import (
 from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance
 
 _ZERO_ENTRY = 1e-12  # below this (relative to the largest entry) a CG coefficient counts as 0
+# the build and checks of a pair hold a few (n_beta n_gamma)^2 arrays: ~140 MB at this cap
+_MAX_CG_PRODUCT_DIM = 1600
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +210,11 @@ def _build_cg_record(m: QGModel, beta: str, gamma: str) -> dict:
     row = m.fusion.components(beta, gamma)
     if m.cg is None:
         raise CGUnavailableError(f"model {m.name!r} supplies no Clebsch-Gordan data")
+    if n_b * n_c > _MAX_CG_PRODUCT_DIM:
+        raise PreconditionError(
+            f"CG pair ({beta!r}, {gamma!r}) spans {n_b} x {n_c} = {n_b * n_c} product basis "
+            f"vectors, above the cap of {_MAX_CG_PRODUCT_DIM}"
+        )
     raw = m.cg(m, beta, gamma)
     groups: dict[str, list[CGTensor]] = {}
     for alpha, copy_index, coeffs in raw:
@@ -318,12 +325,11 @@ def _tensors_into(
 
 
 def _canonical_pairs(m: QGModel, support: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
-    order = {label: k for k, label in enumerate(m.labels)}
     pairs = {(str(b), str(g)) for b, g in support}
     for b, g in pairs:
         if b not in m or g not in m:
             raise ModelSchemaError(f"support pair ({b!r}, {g!r}) references labels outside the model")
-    return sorted(pairs, key=lambda p: (order[p[0]], order[p[1]]))
+    return sorted(pairs, key=lambda p: (m._order[p[0]], m._order[p[1]]))
 
 
 def delta_hat(
@@ -405,7 +411,6 @@ def verify_modular(
     flag instead of being asserted.
     """
     pairs = _canonical_pairs(m, support)
-    order = {label: k for k, label in enumerate(m.labels)}
     lam_alpha = np.asarray(tuple(m.rho(alpha)))
     d_alpha = float(m.rho(alpha).trace())
 
@@ -432,7 +437,7 @@ def verify_modular(
         """
         k = 0 if fixed_left else 1
         by_fixed: dict[str, list[tuple[str, str]]] = {}
-        for pair in sorted(pairs, key=lambda p: (order[p[k]], order[p[1 - k]])):
+        for pair in sorted(pairs, key=lambda p: (m._order[p[k]], m._order[p[1 - k]])):
             by_fixed.setdefault(pair[k], []).append(pair)
         blocks = []
         for label, group in by_fixed.items():
@@ -484,7 +489,6 @@ def verify_coassociativity(
     within the fragment, and the rest are reported as skipped.
     """
     pairs = _canonical_pairs(m, support)
-    order = {label: k for k, label in enumerate(m.labels)}
     n_a = m.dim(alpha)
     bound = max(tol.abs, tol.rel)
 
@@ -519,7 +523,7 @@ def verify_coassociativity(
     results: list[dict] = []
     skipped: list[dict] = []
     max_residual = 0.0
-    for p, q, r in sorted(triples, key=lambda t: (order[t[0]], order[t[1]], order[t[2]])):
+    for p, q, r in sorted(triples, key=lambda t: [m._order[x] for x in t]):
         try:
             left = contributors((q, p), lambda x: (r, x))
             right = contributors((r, q), lambda x: (x, p))

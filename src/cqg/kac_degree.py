@@ -346,9 +346,6 @@ def theta_normal_form(s: RhoSpectrum, tol: Tolerance = DEFAULT_TOLERANCE) -> The
     for j in range(1, half):
         th = math.log(s[j]) / log_gamma
         thetas.append(min(1.0, max(0.0, th)))
-    for j in range(1, half):
-        if thetas[j] > thetas[j - 1] + tol.rel:
-            raise ModelConsistencyError("theta exponents must descend")
     return ThetaForm(
         Gamma=gamma, thetas=tuple(thetas), parity=parity, dim=n, kac=False
     )

@@ -156,23 +156,23 @@ class FusionTable:
                         f"fusion {left!r} x {right!r}: multiplicity of {label!r} is {mult}, "
                         f"must be {'>= 1' if mult < 1 else 'below 2**63'}"
                     )
-            table[(str(left), str(right))] = MappingProxyType(row)
+            table[(str(left), str(right))] = row
         index: dict[str, int] = {}
         ends = [index.setdefault(label, len(index)) for pair in table for label in pair]
         comp = [index.setdefault(label, len(index)) for row in table.values() for label in row]
         mult = [value for row in table.values() for value in row.values()]
         offsets = np.cumsum([0, *map(len, table.values())])
-        self._adopt(tuple(index), ends[0::2], ends[1::2], offsets, comp, mult, table)
+        self._adopt(tuple(index), ends[0::2], ends[1::2], offsets, comp, mult)
 
     @classmethod
     def _from_arrays(cls, *arrays: Any) -> "FusionTable":
-        """A table from (labels, left, right, offsets, comp, mult); rows are built on first read."""
+        """A table from (labels, left, right, offsets, comp, mult)."""
         table = cls.__new__(cls)
-        table._adopt(*arrays, {})
+        table._adopt(*arrays)
         return table
 
-    def _adopt(self, labels, left, right, offsets, comp, mult, rows: dict) -> None:
-        self._labels, self._rows = tuple(labels), rows
+    def _adopt(self, labels, left, right, offsets, comp, mult) -> None:
+        self._labels, self._rows = tuple(labels), {}
         self._left, self._right, self._offsets, self._comp, self._mult = (
             np.asarray(a, dtype=np.int64) for a in (left, right, offsets, comp, mult)
         )
@@ -240,6 +240,7 @@ class QGModel:
         object.__setattr__(self, "parameters", dict(self.parameters))
         object.__setattr__(self, "_by_label", by_label)
         object.__setattr__(self, "_labels", tuple(by_label))
+        object.__setattr__(self, "_order", {label: k for k, label in enumerate(by_label)})
         object.__setattr__(self, "_store", {})
 
     def _memo(self, key: tuple, build: Callable[[], Any]) -> Any:
@@ -308,24 +309,11 @@ def _raise_if_failed(report: ValidationReport, what: str) -> None:
         raise ModelConsistencyError(f"{what} failed validation: {details}{more}")
 
 
-def _conjugate_spectra_off(m: QGModel, tol: Tolerance) -> list[bool]:
-    """Per irrep, whether rho of its conjugate misses its inverse multiset (the reversed
-    reciprocals) by the expression of ``Tolerance.close``, over all entries at once."""
-    rho = [irr.rho.eigenvalues for irr in m.irreps]
-    mate = [m.rho(irr.conjugate).eigenvalues if irr.conjugate in m else () for irr in m.irreps]
-    sized = [len(xs) == len(ys) for xs, ys in zip(mate, rho)]
-    x = np.array([v for xs, ok in zip(mate, sized) if ok for v in xs])
-    y = 1.0 / np.array([v for ys, ok in zip(rho, sized) if ok for v in reversed(ys)])
-    near = np.abs(x - y) <= tol.abs + tol.rel * np.maximum(np.abs(x), np.abs(y))
-    owner = np.repeat(np.flatnonzero(sized), [len(ys) for ys, ok in zip(rho, sized) if ok])
-    return ((np.bincount(owner, ~near, len(rho)) > 0) | ~np.array(sized)).tolist()
-
-
 def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> ValidationReport:
     """Check every structural invariant; violations become report entries, never exceptions."""
     report = ValidationReport()
 
-    for irr, off in zip(m.irreps, _conjugate_spectra_off(m, tol)):
+    for irr in m.irreps:
         rho = irr.rho
         if not rho.is_balanced(tol):
             message = f"trace {rho.trace():.12g} vs inverse trace {rho.inverse_trace():.12g}"
@@ -339,9 +327,9 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
         if conj.conjugate != irr.label:
             message = f"conjugate of {conj.label!r} is {conj.conjugate!r}, expected {irr.label!r}"
             report.add("conjugate-involution", (irr.label, conj.label), None, message)
-        if off:
-            expected = rho.conjugate()
-            same = len(conj.rho) == len(expected)
+        expected = rho.conjugate()
+        same = len(conj.rho) == len(expected)
+        if not (same and all(map(tol.close, conj.rho, expected))):
             worst = max(abs(x - y) for x, y in zip(conj.rho, expected)) if same else float("inf")
             message = f"rho of {conj.label!r} is not the inverse multiset of rho of {irr.label!r}"
             report.add("conjugate-spectrum", (irr.label, conj.label), worst, message)
@@ -362,7 +350,7 @@ def validate_model(m: QGModel, tol: Tolerance = DEFAULT_TOLERANCE) -> Validation
     extra = [0] * (len(names) - len(m.labels))
     dims = np.array([irr.dim for irr in m.irreps] + extra, dtype=float)
     traces = np.array([irr.rho.trace() for irr in m.irreps] + extra, dtype=float)
-    t, lens = m.labels.index(m.trivial), np.diff(m.fusion._offsets)
+    t, lens = m._order[m.trivial], np.diff(m.fusion._offsets)
     dim_sum, d1_sum, triv_mult = (
         np.bincount(pair, w, minlength=len(left))
         for w in (mult * dims[comp], mult * traces[comp], mult * (comp == t))

@@ -114,7 +114,7 @@ def _log_rho(m: QGModel, label: str) -> np.ndarray:
 def _theorem_5_3_plan(
     m: QGModel, alpha: str, beta: str, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple:
-    """What both identities need for (alpha, beta) at any (s, t), built once per model and CG bound.
+    """What both identities need for (alpha, beta) at any (s, t), built once per model and tolerance.
 
     One entry per equation, eq1 with gamma in the first slot, eq2 in the
     second: the completeness certificate, the live (a, a') entries of the
@@ -122,7 +122,7 @@ def _theorem_5_3_plan(
     others are an exact 0) as (rows, cols), and the terms (gamma, d_gamma,
     [conj(V[:, rows]) * V[:, cols] ...]) over the gammas whose pair with beta
     contains alpha: a point's left-hand side is its 0/1 row weights times those.
-    A plan reads, and so gates, its CG records once: each max(tol.abs, 1e-9) has its own.
+    A plan reads, and so gates, its CG records once, at the tolerance it is keyed by.
     """
 
     def plan_equation(first_is_gamma: bool) -> tuple:
@@ -139,7 +139,7 @@ def _theorem_5_3_plan(
         terms = [(gamma, d, [v[:, rows].conj() * v[:, cols] for v in vs]) for gamma, d, vs in found]
         return complete, (rows, cols), terms
 
-    key = ("theorem-5.3", alpha, beta, max(tol.abs, 1e-9))
+    key = ("theorem-5.3", alpha, beta, tol)
     return m._memo(key, lambda: (plan_equation(True), plan_equation(False)))
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -223,6 +225,74 @@ def theta_exponents(spectrum, gamma: float) -> list[float]:
     """log-scale exponents of the upper half of a symmetric spectrum."""
     upper = sorted((x for x in spectrum if x > 1.0), reverse=True)
     return [math.log(x) / math.log(gamma) for x in upper]
+
+
+def suq2_exact_cg_squares(n1: int, n2: int, sqrt_q) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Exact |V|^2 and sign(V) of every su_q_2 CG isometry of the pair (n1, n2), q = sqrt_q**2.
+
+    Works in each module's unnormalized basis v_j = F^j v_0, a positive
+    multiple of the weight-basis vector k = n - j: there E v_j = [j][n-j+1]
+    v_{j-1}, F v_j = v_{j+1}, K v_j = q^(n/2-j) v_j and |v_j|^2 = [j]! [n]! /
+    [n-j]!.  With the library's coproduct Delta(E) = E x K + K^-1 x E (Delta(F)
+    likewise), every coefficient is a Fraction when sqrt_q is rational.  The
+    highest-weight vector of target n3 solves a two-term recurrence; lowering it
+    by Delta(F) gives w_j3, with |w_j3|^2 = |w_0|^2 [j3]! [n3]! / [n3-j3]!.  So
+    |V|^2 = c^2 |v_j1|^2 |v_j2|^2 / |w_j3|^2 exactly.  The overall sign makes the
+    highest-weight vector's first coefficient in (k1, k2) order above 1e-10 in
+    modulus positive, as the library does.  Returns {str(n3): (squares, signs)}:
+    an object array of Fraction and an int array, both indexed [b, c, a] over
+    the descending-rho bases.
+    """
+    s = Fraction(sqrt_q)
+    q = s * s
+    qints = [Fraction(n) if q == 1 else (q**n - q**-n) / (q - 1 / q) for n in range(n1 + n2 + 2)]
+    qfact = list(itertools.accumulate(qints[1:], operator.mul, initial=Fraction(1)))
+
+    def norm2(n: int, j: int) -> Fraction:  # |v_j|^2 = [j]! [n]! / [n-j]!
+        return qfact[j] * qfact[n] / qfact[n - j]
+
+    def k_on(n: int, j: int) -> Fraction:  # K v_j = q^(n/2 - j) v_j
+        return s ** (n - 2 * j)
+
+    def descending_rho(n: int) -> list[int]:  # weight indices k by descending q^(2k - n)
+        return list(range(n + 1)) if q < 1 else list(range(n, -1, -1))
+
+    out = {}
+    for n3 in range(abs(n1 - n2), n1 + n2 + 1, 2):
+        top = (n1 + n2 - n3) // 2  # j1 + j2 on the highest-weight sector; top <= min(n1, n2)
+        x = [Fraction(1)]
+        for a in range(top):  # Delta(E) h = 0, coefficient of v_a x v_(top-1-a)
+            x.append(
+                -x[a] * qints[top - a] * qints[n2 - top + a + 1]
+                / (k_on(n1, a) * qints[a + 1] * qints[n1 - a] * k_on(n2, top - a - 1))
+            )
+        # the library's first nonzero is the first above 1e-10 in modulus, k1 = n1 - j1 ascending
+        h2 = sum(c * c * norm2(n1, j1) * norm2(n2, top - j1) for j1, c in enumerate(x))
+        first = next(
+            j1 for j1 in range(top, -1, -1)
+            if x[j1] ** 2 * norm2(n1, j1) * norm2(n2, top - j1) > h2 / 10**20
+        )
+        sign = 1 if x[first] > 0 else -1
+        vectors = [{(j1, top - j1): sign * c for j1, c in enumerate(x)}]
+        for _ in range(n3):
+            lowered: dict[tuple[int, int], Fraction] = {}
+            for (j1, j2), c in vectors[-1].items():
+                if j1 < n1:
+                    lowered[j1 + 1, j2] = lowered.get((j1 + 1, j2), 0) + c * k_on(n2, j2)
+                if j2 < n2:
+                    lowered[j1, j2 + 1] = lowered.get((j1, j2 + 1), 0) + c / k_on(n1, j1)
+            vectors.append(lowered)
+        squares = np.full((n1 + 1, n2 + 1, n3 + 1), Fraction(0), dtype=object)
+        signs = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=int)
+        for j3, w in enumerate(vectors):
+            w2 = h2 * norm2(n3, j3)
+            for (j1, j2), c in w.items():
+                at = (n1 - j1, n2 - j2, n3 - j3)
+                squares[at] = c * c * norm2(n1, j1) * norm2(n2, j2) / w2
+                signs[at] = (c > 0) - (c < 0)
+        grid = np.ix_(descending_rho(n1), descending_rho(n2), descending_rho(n3))
+        out[str(n3)] = (squares[grid], signs[grid])
+    return out
 
 
 DIMS_TABLE_Q_HALF = {

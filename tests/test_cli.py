@@ -276,6 +276,7 @@ class TestExitCodeTwo:
             (("spectra", "--model", "free_orthogonal", "--f-diag", "1e154,1e154"),
              "F_diag [1e+154, 1e+154] leaves the float range"),
             (("dims", "--model", "cyclic\u00b2"), "unsupported group dual 'cyclic\u00b2'"),
+            (("dims", "--model", "cyclic0"), "cyclic group order must be >= 1"),
             (("dims", "--model", "cyclic" + "9" * 5000), "5000 digits"),
         ],
     )
@@ -758,6 +759,16 @@ class TestExportRoundTrip:
 
 class TestReachableBranches:
     """Branches of the command handlers that only these inputs reach."""
+
+    def test_unknown_builtin_falls_back_to_an_existing_file(self, capsys, tmp_path, monkeypatch):
+        # no .json suffix and no "/": tried as a built-in first, then read as a file
+        (tmp_path / "mymodel").write_text(
+            json.dumps(model_to_document(resolve_builtin("s3"))), encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)
+        code, report = run_json(capsys, "dims", "--model", "mymodel")
+        assert code == 0
+        assert report["model"] == "dual(s3)"
 
     def test_reloaded_export_missing_one_cg_pair(self, capsys, tmp_path):
         target = tmp_path / "model.json"

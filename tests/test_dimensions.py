@@ -43,6 +43,11 @@ def test_dim_t_degree_and_quantum_dimension(suq2_half):
         assert dim_t(s, 1.0) == pytest.approx(s.trace())
 
 
+def test_dim_t_at_infinity_is_infinite(suq2_half):
+    # t * log(lambda) is inf, -inf: the log-sum-exp returns its non-finite top as it is
+    assert dim_t(suq2_half.rho("1"), math.inf) == math.inf
+
+
 def test_dim_t_table_matches_pinned_values(suq2_half):
     for label, (dim, d1, d2) in oracles.DIMS_TABLE_Q_HALF.items():
         s = suq2_half.rho(label)

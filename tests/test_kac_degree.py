@@ -283,6 +283,16 @@ class TestThetaNormalForm:
         assert form.thetas == pytest.approx((1.0, 1.0 / 3.0))
         assert tuple(form.reconstruct()) == pytest.approx(tuple(s))
 
+    @pytest.mark.parametrize("q", [0.5, 0.8, 2.0])
+    def test_su_q_2_thetas_equal_the_log_exponents(self, q):
+        # the thetas of q-deformed SU(2) spectra, descending, as log(x) / log(Gamma)
+        m = resolve_builtin("su_q_2", q=q, max_level=12)
+        for label in m.labels[1:]:
+            s = m.rho(label)
+            form = theta_normal_form(s)
+            assert list(form.thetas) == oracles.theta_exponents(s, s[0]), label
+            assert list(form.thetas) == sorted(form.thetas, reverse=True)
+
     def test_kac_marker(self):
         form = theta_normal_form(RhoSpectrum((1.0, 1.0)))
         assert form.kac and form.thetas == (1.0,)

@@ -79,6 +79,12 @@ class TestTensorPairs:
                 expected = sum(1 for v in product if abs(v - t) <= 1e-12 * t)
                 assert total == expected, (left, right, t)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_non_positive_t_refused(self, t):
+        s = RhoSpectrum((2.0, 0.5))
+        with pytest.raises(PreconditionError, match="positive finite real"):
+            tensor_projection_pairs(s, s, t, TIGHT)
+
     def test_off_support_gives_no_pairs(self):
         s = RhoSpectrum((2.0, 0.5))
         assert tensor_projection_pairs(s, s, 7.0, TIGHT) == []

@@ -253,6 +253,15 @@ def test_conjugate_spectrum_bound_decides_like_the_walk(relative):
     assert verdicts[0] and not verdicts[2]
 
 
+@pytest.mark.parametrize("dim, rho, residual", [(2, (1.0, 1.0), None), (1, (2.0,), 1.0)])
+def test_a_trivial_irrep_off_dim_1_or_rho_1_is_reported(dim, rho, residual):
+    irreps = (Irrep("t", dim, RhoSpectrum(rho), "t"),)
+    m = QGModel(name="off", trivial="t", irreps=irreps, fusion=FusionTable({}))
+    issues = [i for i in _assert_same_as_the_walk(m, Tolerance()) if i.invariant == "trivial-irrep"]
+    message = f"trivial irrep must have dim 1 and rho (1); got dim {dim}, rho {rho}"
+    assert [(i.labels, i.residual, i.message) for i in issues] == [(("t",), residual, message)]
+
+
 @pytest.mark.parametrize("level", range(13))
 def test_array_built_su_q_2_rows_equal_the_dict_built_rows(level):
     m = builtin_su_q_2(0.5, level)
