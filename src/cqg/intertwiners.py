@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from ._batched import _expansion_stacks, _gram_residuals, _modular_residuals
 from .errors import (
     CGUnavailableError,
     ModelConsistencyError,
@@ -427,52 +428,43 @@ def verify_modular(
     support = set(pairs)
     bound = max(tol.abs, tol.rel)
 
-    def leg_blocks(fixed_left: bool, power: float, spec: str) -> list[dict]:
-        """Blocks of one leg for every matrix unit (a, a') at once, labelled by the fixed slot.
-
-        The first leg (id x h) fixes gamma, lets h act on the beta factor and
-        expects rho**-2 on the block diagonal; the second leg (h x id) fixes
-        beta, lets h act on the gamma factor and expects rho**0 = 1.  ``spec``
-        contracts one tensor into the (a, a', fixed, fixed') array of the leg.
-        """
-        k = 0 if fixed_left else 1
-        by_fixed: dict[str, list[tuple[str, str]]] = {}
+    # The first leg (id x h) fixes gamma, lets h act on the beta factor and expects rho**-2
+    # on the block diagonal; the second leg (h x id) fixes beta, lets h act on the gamma
+    # factor and expects rho**0 = 1.  Each leg has one block per fixed label.
+    blocks: list[tuple[int, str]] = []  # (tensor axis of the fixed label, label)
+    terms: list[tuple[CGTensor, int, str]] = []  # (tensor, its block, the other label)
+    for k in (1, 0):
         for pair in sorted(pairs, key=lambda p: (m._order[p[k]], m._order[p[1 - k]])):
-            by_fixed.setdefault(pair[k], []).append(pair)
-        blocks = []
-        for label, group in by_fixed.items():
-            n = m.dim(label)
-            expected_diag = np.asarray(tuple(m.rho(label))) ** power
-            acc = np.zeros((len(lam_alpha), len(lam_alpha), n, n), dtype=complex)
-            for pair in group:
-                lam_other = np.asarray(tuple(m.rho(pair[1 - k])))
-                d_other = float(m.rho(pair[1 - k]).trace())
-                for t in pair_tensors[pair]:
-                    acc += d_other * np.einsum(spec, t.coeffs, lam_other, t.coeffs.conj())
-            expected = np.multiply.outer(np.diag(d_alpha * lam_alpha), np.diag(expected_diag))
-            diff = float(np.max(np.abs(acc - expected)))
-            scale = max(1.0, d_alpha * float(lam_alpha.max()) * float(expected_diag.max()))
-            resid = diff / scale
-            complete, missing = _certify_complete(m, alpha, label, fixed_left, support)
-            blocks.append(
-                {"label": label, "residual": resid, "complete": complete, "missing": missing,
-                 "pass": resid <= bound if complete else None}
-            )
-        return blocks
-
-    first_blocks = leg_blocks(False, -2.0, "bca,b,bCA->aAcC")
-    second_blocks = leg_blocks(True, 0.0, "bca,c,BcA->aAbB")
-    blocks = first_blocks + second_blocks
-    max_complete = max([0.0] + [b["residual"] for b in blocks if b["complete"]])
+            if not blocks or blocks[-1] != (k, pair[k]):
+                blocks.append((k, pair[k]))
+            terms += [(t, len(blocks) - 1, pair[1 - k]) for t in pair_tensors[pair]]
+    legs: dict[int, list[dict]] = {1: [], 0: []}  # by fixed axis: 1 is id x h, 0 is h x id
+    for (k, label), resid in zip(blocks, _modular_residuals(m, lam_alpha, d_alpha, blocks, terms)):
+        complete, missing = _certify_complete(m, alpha, label, k == 0, support)
+        legs[k].append(
+            {"label": label, "residual": resid, "complete": complete, "missing": missing,
+             "pass": resid <= bound if complete else None}
+        )
+    every = legs[1] + legs[0]
+    max_complete = max([0.0] + [b["residual"] for b in every if b["complete"]])
     return {
         "alpha": alpha,
         "support": [list(p) for p in pairs],
-        "id_tensor_h": first_blocks,
-        "h_tensor_id": second_blocks,
+        "id_tensor_h": legs[1],
+        "h_tensor_id": legs[0],
         "max_complete_residual": max_complete,
-        "truncated": not all(b["complete"] for b in blocks),
+        "truncated": not all(b["complete"] for b in every),
         "pass": max_complete <= bound,
     }
+
+
+def _pairs_by_component(fusion) -> dict[str, list[tuple[str, str]]]:
+    """The ingested pairs whose fusion row holds each label."""
+    holding: dict[str, list[tuple[str, str]]] = {}
+    for pair in fusion.pairs():
+        for x in fusion.components(*pair):
+            holding.setdefault(x, []).append(pair)
+    return holding
 
 
 def verify_coassociativity(
@@ -489,57 +481,86 @@ def verify_coassociativity(
     within the fragment, and the rest are reported as skipped.
     """
     pairs = _canonical_pairs(m, support)
-    n_a = m.dim(alpha)
     bound = max(tol.abs, tol.rel)
+    fusion = m.fusion
 
     # candidate triples: a support pair (beta, x) or (x, gamma) whose row holds alpha meets
     # each fusion entry (left, right, x) as (right, left, beta) or (gamma, right, left)
     by_left: dict[str, list[str]] = {}
     by_right: dict[str, list[str]] = {}
     for beta, gamma in pairs:
-        if alpha in m.fusion.components(beta, gamma):
+        if alpha in fusion.components(beta, gamma):
             by_left.setdefault(beta, []).append(gamma)
             by_right.setdefault(gamma, []).append(beta)
-    triples: set[tuple[str, str, str]] = set()
-    for left, right in m.fusion.pairs():
-        for x in m.fusion.components(left, right):
-            triples.update((right, left, beta) for beta in by_right.get(x, ()))
-            triples.update((gamma, right, left) for gamma in by_left.get(x, ()))
+    holding = m._memo(("pairs-by-component",), lambda: _pairs_by_component(fusion))
+    triples = {
+        (right, left, beta)
+        for x, betas in by_right.items() for left, right in holding.get(x, ()) for beta in betas
+    }
+    triples.update(
+        (gamma, right, left)
+        for x, gammas in by_left.items() for left, right in holding.get(x, ()) for gamma in gammas
+    )
 
-    def contributors(inner: tuple[str, str], outer_pair) -> list:
-        """(outer, inner) tensor pairs over the components x of the inner pair.
+    # each pair's tensors by target, None when the pair is outside the fragment or has no CG;
+    # a read gives the same for every alpha at one tolerance
+    read: dict[tuple[str, str], Any] = m._memo(("cg-read", tol), dict)
 
-        The first-leg expansion of triple (p, q, r) has inner pair (q, p) and
-        outer pair (r, x); the second-leg expansion has (r, q) and (x, p).
-        A pair outside the fragment, or without CG data, raises.
-        """
-        out = []
-        for x in m.fusion.components(*inner):
-            outer = _cg_record(m, *outer_pair(x), tol)["into"].get(alpha, ())
-            inner_all = _cg_record(m, *inner, tol)["into"][x]
-            out += [(t_out, t_in) for t_out in outer for t_in in inner_all]
-        return out
-
-    results: list[dict] = []
-    skipped: list[dict] = []
-    max_residual = 0.0
-    for p, q, r in sorted(triples, key=lambda t: [m._order[x] for x in t]):
+    def into(pair: tuple[str, str]):
         try:
-            left = contributors((q, p), lambda x: (r, x))
-            right = contributors((r, q), lambda x: (x, p))
+            read[pair] = _cg_record(m, *pair, tol)["into"]
         except (TruncationError, CGUnavailableError):
+            read[pair] = None
+        return read[pair]
+
+    def expansions(p: str, q: str, r: str) -> list | None:
+        """(t_in, t_out, side, row) of both expansions of (p, q, r), or None off the fragment.
+
+        The first-leg expansion (side 0) sums inner pair (q, p) into x against
+        outer pair (r, x), the second-leg one (r, q) into x against (x, p).
+        Each pair is read in the order the sum meets it.
+        """
+        found = []
+        for side, inner in enumerate(((q, p), (r, q))):
+            if inner not in fusion:
+                return None
+            row, inner_into = 0, None
+            for x in fusion.components(*inner):
+                outer = (r, x) if side == 0 else (x, p)
+                outer = read[outer] if outer in read else into(outer)
+                if outer is None:
+                    return None
+                if inner_into is None:
+                    inner_into = read[inner] if inner in read else into(inner)
+                    if inner_into is None:
+                        return None
+                for t_out in outer.get(alpha, ()):
+                    for t_in in inner_into[x]:
+                        found.append((t_in, t_out, side, row))
+                        row += 1
+        return found
+
+    order = m._order
+    checked: list[tuple[str, str, str]] = []
+    vectors: list[tuple] = []
+    skipped: list[dict] = []
+    for p, q, r in sorted(triples, key=lambda t: (order[t[0]], order[t[1]], order[t[2]])):
+        found = expansions(p, q, r)
+        if found is None:
             skipped.append({"triple": [p, q, r], "reason": "contributing sum leaves the fragment"})
             continue
-        size = m.dim(p) * m.dim(q) * m.dim(r)
-        # each expansion as a (tensor pair, size, n_alpha) stack of its vectors
-        lhs, rhs = (
-            np.reshape([np.einsum(spec, t_in.coeffs, t_out.coeffs) for t_out, t_in in terms],
-                       (-1, size, n_a))
-            for terms, spec in ((left, "upc,rca->pura"), (right, "rub,bpa->pura"))
-        )
-        resid = _gram_residual(rhs, lhs)
+        vectors += [(*v, len(checked)) for v in found]
+        checked.append((p, q, r))
+    residuals = np.zeros(len(checked))
+    dim = {label: m.dim(label) for label in m.labels}
+    dims = [[dim[x] for x in triple] for triple in checked]
+    for members, rhs, lhs in _expansion_stacks(m, m.dim(alpha), dims, vectors):
+        residuals[members] = _gram_residuals(rhs, lhs)
+    results: list[dict] = []
+    max_residual = 0.0
+    for triple, resid in zip(checked, residuals.tolist()):
         max_residual = max(max_residual, resid)
-        results.append({"triple": [p, q, r], "residual": resid, "pass": resid <= bound})
+        results.append({"triple": list(triple), "residual": resid, "pass": resid <= bound})
     return {
         "alpha": alpha,
         "support": [list(pair) for pair in pairs],
@@ -549,39 +570,6 @@ def verify_coassociativity(
         "truncated": bool(skipped),
         "pass": max_residual <= bound,
     }
-
-
-def _gram_residual(rhs: np.ndarray, lhs: np.ndarray) -> float:
-    """max |G(rhs) - G(lhs)| over the scale max(1, max |G(rhs)|) of two expansion stacks.
-
-    Each stack is (tensor pair, size, n_alpha).  Flattening its columns to
-    (x, a), the Gram matrix G[(x, a), (y, a')] = sum_k v[k, x, a] conj(v[k, y, a'])
-    holds the expansion of every matrix unit e_{a, a'} at once.  A column on
-    which every vector of both stacks is exactly zero gives sums of exact
-    zeros on both sides, so only the live columns are formed; each entry is
-    the same einsum sum over k as on the full matrix.  Rows are taken
-    ``size`` at a time, so no array exceeds n_alpha size^2 entries even when
-    every column is live.  A non-finite Gram entry gives residual inf.
-    """
-    _, size, n_a = rhs.shape
-    flat_r = rhs.reshape(rhs.shape[0], size * n_a)
-    flat_l = lhs.reshape(lhs.shape[0], size * n_a)
-    live = flat_r.any(axis=0) | flat_l.any(axis=0)
-    flat_r, flat_l = flat_r[:, live], flat_l[:, live]
-    bar_r, bar_l = flat_r.conj(), flat_l.conj()
-    diff = 0.0
-    scale = 1.0
-    for start in range(0, flat_r.shape[1], size):
-        rows = slice(start, start + size)
-        gram = np.einsum("kx,ky->xy", flat_r[:, rows], bar_r)
-        top = float(np.abs(gram).max())
-        gram -= np.einsum("kx,ky->xy", flat_l[:, rows], bar_l)
-        gap = float(np.abs(gram).max())
-        if not (math.isfinite(top) and math.isfinite(gap)):
-            return math.inf
-        scale = max(scale, top)
-        diff = max(diff, gap)
-    return diff / scale
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +629,10 @@ def _suq2_pair_tensors(n1: int, n2: int, q: float) -> list[tuple[str, int, np.nd
     target module's own lowering coefficients.  Dividing by anything else
     would break the relative normalization between components that the
     modular identities depend on; only the overall phase per component is
-    free, fixed by making the first nonzero coefficient of the
-    highest-weight vector (in lexicographic product-basis order) real
-    positive.
+    free, fixed by making positive the first coefficient of the unit
+    highest-weight vector (in lexicographic product-basis order) whose
+    modulus is above 1e-10.  A smaller leading coefficient is passed over,
+    so the sign can follow the next one.
     """
     k1, e1, f1, w1 = _weight_module(n1, q)
     k2, e2, f2, w2 = _weight_module(n2, q)

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from cqg.errors import CGUnavailableError, PreconditionError, TruncationError
 from cqg.fusion import Decomposition
+from cqg.intertwiners import _canonical_pairs, _certify_complete, _cg_record, _tensors_into
 from cqg.rep_data import DEFAULT_TOLERANCE, Tolerance, ValidationReport
 
 
@@ -426,6 +428,126 @@ def coassociativity_dense_reference(rhs: np.ndarray, lhs: np.ndarray) -> float:
         rhs_a -= np.einsum("kx,kyA->Axy", lhs[:, :, a], lhs_bar)
         diff = max(diff, float(np.max(np.abs(rhs_a))))
     return diff / scale
+
+
+def coassociativity_stacks_reference(m, alpha: str, triple, tol: Tolerance = DEFAULT_TOLERANCE):
+    """The (rhs, lhs) expansion stacks of one triple, one einsum per (outer, inner) tensor pair.
+
+    The first-leg expansion of (p, q, r) sums the tensors of inner pair
+    (q, p) into x against those of outer pair (r, x) into alpha; the
+    second-leg one sums (r, q) into x against (x, p).  Each stack is
+    (tensor pair, n_p n_q n_r, n_alpha), its pairs over x in row order, then
+    outer and inner copy.  A pair outside the fragment, or without CG data,
+    raises, the first-leg pairs being read first.
+    """
+    p, q, r = triple
+
+    def contributors(inner, outer_pair):
+        out = []
+        for x in m.fusion.components(*inner):
+            outer = _cg_record(m, *outer_pair(x), tol)["into"].get(alpha, ())
+            inner_all = _cg_record(m, *inner, tol)["into"][x]
+            out += [(t_out, t_in) for t_out in outer for t_in in inner_all]
+        return out
+
+    left = contributors((q, p), lambda x: (r, x))
+    right = contributors((r, q), lambda x: (x, p))
+    size = m.dim(p) * m.dim(q) * m.dim(r)
+    lhs, rhs = (
+        np.reshape([np.einsum(spec, t_in.coeffs, t_out.coeffs) for t_out, t_in in terms],
+                   (-1, size, m.dim(alpha)))
+        for terms, spec in ((left, "upc,rca->pura"), (right, "rub,bpa->pura"))
+    )
+    return rhs, lhs
+
+
+def coassociativity_reference(m, alpha: str, support, tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
+    """verify_coassociativity's result, one triple at a time from the per-pair einsum stacks.
+
+    Triples come from the brute-force enumeration, in label order; each is
+    skipped when its stacks leave the fragment, else its residual is
+    coassociativity_dense_reference of its stacks.
+    """
+    pairs = _canonical_pairs(m, support)
+    bound = max(tol.abs, tol.rel)
+    order = {label: k for k, label in enumerate(m.labels)}
+    results, skipped, max_residual = [], [], 0.0
+    triples = coassociativity_triples_reference(m, alpha, pairs)
+    for triple in sorted(triples, key=lambda t: [order[x] for x in t]):
+        try:
+            rhs, lhs = coassociativity_stacks_reference(m, alpha, triple, tol)
+        except (TruncationError, CGUnavailableError):
+            reason = "contributing sum leaves the fragment"
+            skipped.append({"triple": list(triple), "reason": reason})
+            continue
+        resid = coassociativity_dense_reference(rhs, lhs)
+        max_residual = max(max_residual, resid)
+        results.append({"triple": list(triple), "residual": resid, "pass": resid <= bound})
+    return {
+        "alpha": alpha,
+        "support": [list(pair) for pair in pairs],
+        "triples": results,
+        "skipped": skipped,
+        "max_residual": max_residual,
+        "truncated": bool(skipped),
+        "pass": max_residual <= bound,
+    }
+
+
+def modular_reference(m, alpha: str, support, tol: Tolerance = DEFAULT_TOLERANCE) -> dict:
+    """verify_modular's result with one einsum per tensor and leg, summed block by block.
+
+    The first leg (id x h) fixes gamma and sums, per tensor, over the beta
+    index with rho_beta weights, expecting rho_gamma**-2; the second (h x id)
+    fixes beta and sums over the gamma index, expecting 1.
+    """
+    pairs = _canonical_pairs(m, support)
+    lam_alpha = np.asarray(tuple(m.rho(alpha)))
+    d_alpha = float(m.rho(alpha).trace())
+    smallest = min([1.0] + [min(m.rho(label)) for label in {pair[1] for pair in pairs}])
+    with np.errstate(over="ignore"):
+        peak = d_alpha * lam_alpha.max() * np.float64(smallest) ** -2.0
+    if not peak < math.inf:
+        raise PreconditionError(f"modular check of {alpha!r} leaves the float range")
+    pair_tensors = {pair: _tensors_into(m, *pair, alpha, tol) for pair in pairs}
+    bound = max(tol.abs, tol.rel)
+
+    def leg_blocks(fixed_left: bool, power: float, spec: str) -> list[dict]:
+        k = 0 if fixed_left else 1
+        by_fixed: dict = {}
+        for pair in sorted(pairs, key=lambda p: (order[p[k]], order[p[1 - k]])):
+            by_fixed.setdefault(pair[k], []).append(pair)
+        blocks = []
+        for label, group in by_fixed.items():
+            n = m.dim(label)
+            expected_diag = np.asarray(tuple(m.rho(label))) ** power
+            acc = np.zeros((len(lam_alpha), len(lam_alpha), n, n), dtype=complex)
+            for pair in group:
+                lam_other = np.asarray(tuple(m.rho(pair[1 - k])))
+                d_other = float(m.rho(pair[1 - k]).trace())
+                for t in pair_tensors[pair]:
+                    acc += d_other * np.einsum(spec, t.coeffs, lam_other, t.coeffs.conj())
+            expected = np.multiply.outer(np.diag(d_alpha * lam_alpha), np.diag(expected_diag))
+            diff = float(np.max(np.abs(acc - expected)))
+            resid = diff / max(1.0, d_alpha * float(lam_alpha.max()) * float(expected_diag.max()))
+            complete, missing = _certify_complete(m, alpha, label, fixed_left, set(pairs))
+            blocks.append({"label": label, "residual": resid, "complete": complete,
+                           "missing": missing, "pass": resid <= bound if complete else None})
+        return blocks
+
+    order = {label: k for k, label in enumerate(m.labels)}
+    first = leg_blocks(False, -2.0, "bca,b,bCA->aAcC")
+    second = leg_blocks(True, 0.0, "bca,c,BcA->aAbB")
+    max_complete = max([0.0] + [b["residual"] for b in first + second if b["complete"]])
+    return {
+        "alpha": alpha,
+        "support": [list(p) for p in pairs],
+        "id_tensor_h": first,
+        "h_tensor_id": second,
+        "max_complete_residual": max_complete,
+        "truncated": not all(b["complete"] for b in first + second),
+        "pass": max_complete <= bound,
+    }
 
 
 def coassociativity_triples_reference(m, alpha: str, support) -> set[tuple[str, str, str]]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cqg import intertwiners
+from cqg import _batched, intertwiners
 from cqg.cli import main
 from cqg.errors import (
     CGUnavailableError,
@@ -447,19 +447,22 @@ def suq2_two_level6():
 
 
 def _coassociativity_with_stacks(m, alpha):
-    """verify_coassociativity of alpha, plus the (rhs, lhs) stacks of each checked triple."""
-    stacks = []
-    real = intertwiners._gram_residual
+    """verify_coassociativity of alpha, plus the (rhs, lhs) stacks of each checked triple.
 
-    def spy(rhs, lhs):
-        stacks.append((rhs, lhs))
-        return real(rhs, lhs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intertwiners, "_gram_residual", spy)
-        result = verify_coassociativity(m, alpha, list(m.fusion.pairs()))
+    The stacks are the per-tensor-pair einsums of oracles.coassociativity_stacks_reference.
+    """
+    result = verify_coassociativity(m, alpha, list(m.fusion.pairs()))
+    stacks = [
+        oracles.coassociativity_stacks_reference(m, alpha, t["triple"]) for t in result["triples"]
+    ]
     assert len(stacks) == len(result["triples"])
     return result, stacks
+
+
+def _gram_residual(rhs, lhs):
+    """The Gram residual of one triple's (rhs, lhs) stacks, as a batch of one."""
+    (resid,) = _batched._gram_residuals(rhs[None], lhs[None])
+    return resid
 
 
 def _live_columns(rhs, lhs):
@@ -468,10 +471,11 @@ def _live_columns(rhs, lhs):
 
 
 class TestCoassociativityGram:
-    """The live-column Gram comparison against the dense per-a reference loop.
+    """The batched Gram comparison against the dense per-a reference loop.
 
-    Rows are taken `size` at a time, so a stack with more than `size` live
-    columns is compared over several slabs, the last of them possibly short.
+    The stacks of a triple hold its live columns, where some expansion term
+    lands; a stack with more than `size` such columns spans what used to be
+    several row slabs of the Gram matrix.
     """
 
     @pytest.mark.parametrize(
@@ -514,7 +518,7 @@ class TestCoassociativityGram:
                 rhs[:, dead_both | (rng.random((size, n_a)) < 0.3)] = 0.0
                 lhs[:, dead_both | (rng.random((size, n_a)) < 0.3)] = 0.0
             want = oracles.coassociativity_dense_reference(rhs, lhs)
-            assert intertwiners._gram_residual(rhs, lhs) == want, trial
+            assert _gram_residual(rhs, lhs) == want, trial
             several += _live_columns(rhs, lhs).sum() > size
         assert several or kind == "zero"
 
@@ -522,12 +526,12 @@ class TestCoassociativityGram:
         for k_r, k_l in ((0, 0), (3, 0), (0, 2), (2, 3)):
             rhs = np.zeros((k_r, 4, 3), dtype=complex)
             lhs = np.zeros((k_l, 4, 3), dtype=complex)
-            assert intertwiners._gram_residual(rhs, lhs) == 0.0
+            assert _gram_residual(rhs, lhs) == 0.0
             assert oracles.coassociativity_dense_reference(rhs, lhs) == 0.0
         # a dead right-hand side leaves the scale at 1: the residual is max |G(lhs)|
         lhs = np.zeros((1, 4, 3), dtype=complex)
         lhs[0, 2, 1] = 2.0
-        assert intertwiners._gram_residual(np.zeros((2, 4, 3), dtype=complex), lhs) == 4.0
+        assert _gram_residual(np.zeros((2, 4, 3), dtype=complex), lhs) == 4.0
 
 
 class TestPlantedCoassociativityDefect:
@@ -601,18 +605,18 @@ class TestPlantedNonFiniteCoefficient:
             stacks = [rng.normal(size=(3, 4, 3)) + 1j * rng.normal(size=(3, 4, 3)) for _ in range(2)]
             # the planted entry falls in a different slab of the 12 live columns each trial
             stacks[side][trial % 3, trial % 4, (trial // 4) % 3] = bad
-            assert intertwiners._gram_residual(*stacks) == math.inf, trial
+            assert _gram_residual(*stacks) == math.inf, trial
 
     def test_triple_and_alpha_fail(self, suq2_half):
-        real = intertwiners._gram_residual
+        real = intertwiners._gram_residuals
 
         def planted(rhs, lhs):
             rhs = rhs.copy()
-            rhs.flat[-1] = math.nan
+            rhs[:, -1, -1] = math.nan  # the last entry of every triple's stack
             return real(rhs, lhs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(intertwiners, "_gram_residual", planted)
+            mp.setattr(intertwiners, "_gram_residuals", planted)
             result = verify_coassociativity(suq2_half, "1", list(suq2_half.fusion.pairs()))
         assert result["triples"]
         assert all(t["residual"] == math.inf and not t["pass"] for t in result["triples"])
@@ -653,6 +657,111 @@ class TestPlantedNonFiniteCoefficient:
         doc["cg"][0]["coeffs"][0][4] = value
         with pytest.raises(ModelSchemaError, match=message):
             load_model(doc)
+
+
+def _phase_rotated(name: str, args: list[str], tmp_path) -> QGModel:
+    """An exported model whose CG entry k is multiplied by the unit phase exp(i (0.37 + 1.3 k)).
+
+    A phase per tensor keeps unitarity and intertwining, so the document
+    loads and passes the CG gate with genuinely complex coefficients.  The
+    s3 document's parameters (group name and order) are dropped; no check
+    reads them.
+    """
+    target = tmp_path / f"{name}.json"
+    assert main(["export", "--model", name, *args, "--include-cg", "--out", str(target)]) == 0
+    document = json.loads(target.read_text(encoding="utf-8"))
+    for k, entry in enumerate(document["cg"]):
+        phase = complex(math.cos(0.37 + 1.3 * k), math.sin(0.37 + 1.3 * k))
+        values = [complex(re, im) * phase for _, _, _, re, im in entry["coeffs"]]
+        entry["coeffs"] = [[*row[:3], v.real, v.imag] for row, v in zip(entry["coeffs"], values)]
+    if name == "s3":
+        document["parameters"] = {}
+    return load_model(document)
+
+
+def _basis_rotated(m: QGModel, seed: int) -> QGModel:
+    """m with the basis of every irrep turned by a random unitary U: dense complex CG data.
+
+    Each tensor becomes (U_beta x U_gamma) V U_alpha^H, still an isometry.  This
+    keeps rho diagonal only where every rho is a multiple of the identity
+    (su_q_2 at q = 1), and there it makes the contracted sums of both checks
+    run over several nonzero terms, so their order shows in the last bits.
+    """
+    rng = np.random.default_rng(seed)
+    u = {}
+    for label in m.labels:
+        n = m.dim(label)
+        u[label] = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    def provider(model, beta, gamma):
+        return [
+            (t.alpha, t.copy_index,
+             np.einsum("Bb,Cc,bca,Aa->BCA", u[beta], u[gamma], t.coeffs, u[t.alpha].conj()))
+            for t in cg_set(m, beta, gamma)
+        ]
+
+    return dataclasses.replace(m, cg=provider)
+
+
+class TestBatchedChecksExact:
+    """The batched modular and coassociativity kernels against the per-tensor einsum references.
+
+    Results must be equal, bit for bit: the kernels keep every sum in the
+    einsum's order and every product in einsum's kernel.
+    """
+
+    @staticmethod
+    def _assert_equal_to_references(m, step: int = 1, support=None) -> None:
+        support = list(m.fusion.pairs())[::step] if support is None else support
+        for alpha in m.labels:
+            want = oracles.coassociativity_reference(m, alpha, support)
+            assert verify_coassociativity(m, alpha, support) == want, alpha
+            assert verify_modular(m, alpha, support) == oracles.modular_reference(m, alpha, support)
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("su_q_2", {"q": 0.5, "max_level": 8}),
+            ("su_q_2", {"q": 2.0, "max_level": 6}),
+            ("su_q_2", {"q": 1.0, "max_level": 5}),
+            ("s3", {}),
+            ("cyclic7", {}),
+            ("free_orthogonal", {}),
+            ("free_orthogonal", {"f_diag": [1.0, 2.0, 3.0]}),
+        ],
+    )
+    @pytest.mark.parametrize("step", [1, 2])  # the full support, then every other pair of it
+    def test_builtin_models(self, name, kwargs, step):
+        self._assert_equal_to_references(resolve_builtin(name, **kwargs), step)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [("su_q_2", ["--q", "0.5", "--max-level", "6"]), ("s3", []), ("free_orthogonal", [])],
+    )
+    def test_complex_cg_documents(self, name, args, tmp_path):
+        m = _phase_rotated(name, args, tmp_path)
+        coeffs = [t.coeffs for beta, gamma in m.fusion.pairs() for t in cg_set(m, beta, gamma)]
+        assert all(np.any(c.imag != 0) for c in coeffs)  # every tensor is genuinely complex
+        self._assert_equal_to_references(m)
+
+    @pytest.mark.parametrize("name, kwargs", [("s3", {}), ("su_q_2", {"q": 0.5, "max_level": 3})])
+    def test_empty_and_single_pair_supports(self, name, kwargs):
+        m = resolve_builtin(name, **kwargs)
+        for support in [[], *([pair] for pair in m.fusion.pairs())]:
+            self._assert_equal_to_references(m, support=support)
+
+    def test_basis_rotated_cg_data(self):
+        m = _basis_rotated(resolve_builtin("su_q_2", q=1.0, max_level=4), seed=5)
+        # the weight-graded originals are at most a third nonzero
+        assert all(np.count_nonzero(t.coeffs) > 0.8 * t.coeffs.size for t in cg_set(m, "2", "2"))
+        self._assert_equal_to_references(m)
+
+    @pytest.mark.parametrize("cap", [1, 7, 100])
+    @pytest.mark.parametrize("name, kwargs", [("su_q_2", {"q": 0.5, "max_level": 6}), ("s3", {})])
+    def test_memory_cap_chunk_boundaries(self, name, kwargs, cap, monkeypatch):
+        """A cap of 1 entry gives every Gram row and every modular block its own step."""
+        monkeypatch.setattr(_batched, "_BATCH_ENTRIES", cap)
+        self._assert_equal_to_references(resolve_builtin(name, **kwargs))
 
 
 class TestCompletenessCertificate:
