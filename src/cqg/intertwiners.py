@@ -14,10 +14,13 @@ The three concerns of this module:
 
 from __future__ import annotations
 
+import decimal
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from decimal import Decimal
+from itertools import accumulate, chain
 from typing import Any
 
 import numpy as np
@@ -33,7 +36,8 @@ from .errors import (
 from .rep_data import DEFAULT_TOLERANCE, QGModel, Tolerance
 
 _ZERO_ENTRY = 1e-12  # below this (relative to the largest entry) a CG coefficient counts as 0
-# the build and checks of a pair hold a few (n_beta n_gamma)^2 arrays: ~140 MB at this cap
+# the checks of a pair hold a few (n_beta n_gamma)^2 arrays: building and checking su_q_2
+# (39, 39) peaks at 144 MB under tracemalloc, 42 MB of it the built tensors
 _MAX_CG_PRODUCT_DIM = 1600
 
 
@@ -576,43 +580,6 @@ def verify_coassociativity(
 # Built-in CG constructions
 
 
-def _qint(n: int, q: float) -> float:
-    """The q-bracket of an integer; the classical integer at q = 1."""
-    if q == 1.0:
-        return float(n)
-    return (q**n - q ** (-n)) / (q - 1.0 / q)
-
-
-def _weight_module(n: int, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ladder operator matrices on the (n+1)-dimensional weight module.
-
-    Basis index k = 0..n carries weight m_k = k - n/2.  Returns the diagonal
-    of the group-like generator (eigenvalue q^{m_k}), the raising and
-    lowering matrices, and the weight list.
-    """
-    dim = n + 1
-    weights = np.array([k - n / 2.0 for k in range(dim)])
-    kdiag = np.array([q**m for m in weights])
-    raise_op = np.zeros((dim, dim))
-    lower_op = np.zeros((dim, dim))
-    for k in range(dim - 1):
-        raise_op[k + 1, k] = math.sqrt(_qint(n - k, q) * _qint(k + 1, q))
-    for k in range(1, dim):
-        lower_op[k - 1, k] = math.sqrt(_qint(k, q) * _qint(n - k + 1, q))
-    return kdiag, raise_op, lower_op, weights
-
-
-def _rho_descending_order(n: int, q: float) -> list[int]:
-    """Weight-basis indices ordered so the rho eigenvalues q^{2 m_k} descend.
-
-    For q < 1 ascending weights already descend; otherwise (q = 1 included,
-    as a fixed convention) descending weights are used.
-    """
-    if q < 1.0:
-        return list(range(n + 1))
-    return list(range(n, -1, -1))
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two square matrices: the same products, without its generic set-up."""
     n, m = len(a), len(b)
@@ -622,56 +589,88 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _suq2_pair_tensors(n1: int, n2: int, q: float) -> list[tuple[str, int, np.ndarray]]:
     """CG isometries for the pair of labels (n1, n2) of the q-deformed SU(2) series.
 
-    Per target component: the highest-weight vector is the kernel of the
-    coproduct raising operator on the matching total-weight subspace
-    (one-dimensional: the series is multiplicity free), the rest of the
-    component is generated by the coproduct lowering operator divided by the
-    target module's own lowering coefficients.  Dividing by anything else
-    would break the relative normalization between components that the
-    modular identities depend on; only the overall phase per component is
-    free, fixed by making positive the first coefficient of the unit
-    highest-weight vector (in lexicographic product-basis order) whose
-    modulus is above 1e-10.  A smaller leading coefficient is passed over,
-    so the sign can follow the next one.
+    In each module's unnormalized basis v_j = F^j v_0 (weight index n - j),
+    K v_j = s^(n-2j) v_j with s = sqrt(q) and |v_j|^2 = [j]! [n]! / [n-j]!.  Per
+    target n3 the highest-weight vector h solves the two-term recurrence of
+    Delta(E) h = 0, Delta(E) = E x K + K^-1 x E, and Delta(F) (likewise) lowers
+    it to w_j3, of norm |h| |v_j3|.  Each entry is c |v_j1| |v_j2| / |w_j3|:
+    dividing by anything but the target module's own norms would break the
+    relative normalization between components that the modular identities
+    depend on.  It is carried in decimal, with digits for a cancellation that
+    grows as n1 + n2 near q = 1, else as |log q| (n1 + n2)^2, and rounded to
+    float once; entries off the weight sector are never written (exact zeros).
+    Only the overall phase per component is free, fixed by making positive the
+    first coefficient of the unit highest-weight vector (in lexicographic
+    product-basis order) whose modulus is above 1e-10.  A smaller leading
+    coefficient is passed over, so the sign can follow the next one.
     """
-    k1, e1, f1, w1 = _weight_module(n1, q)
-    k2, e2, f2, w2 = _weight_module(n2, q)
-    raise_full = _kron(e1, np.diag(k2)) + _kron(np.diag(1.0 / k1), e2)
-    lower_full = _kron(f1, np.diag(k2)) + _kron(np.diag(1.0 / k1), f2)
-    total_twice = np.rint(2.0 * np.add.outer(w1, w2).reshape(-1)).astype(int)
-    perm1 = _rho_descending_order(n1, q)
-    perm2 = _rho_descending_order(n2, q)
-    out: list[tuple[str, int, np.ndarray]] = []
-    for n3 in range(abs(n1 - n2), n1 + n2 + 1, 2):
-        idx = np.flatnonzero(total_twice == n3)
-        restricted = raise_full[:, idx]
-        _, svals, vh = np.linalg.svd(restricted)
-        top = svals[0]
-        if len(idx) > 1 and svals[-2] <= 1e-6 * max(top, 1.0):
-            raise ModelConsistencyError(
-                f"highest-weight space for target {n3} of pair ({n1}, {n2}) is not one-dimensional"
-            )
-        if svals[-1] > 1e-10 * max(top, 1.0):
-            raise ModelConsistencyError(
-                f"no highest-weight vector for target {n3} of pair ({n1}, {n2})"
-            )
-        kernel = vh[-1]  # real: the ladder matrices are real for real q
-        vec = np.zeros(raise_full.shape[0])
-        vec[idx] = kernel
-        first = idx[np.flatnonzero(np.abs(kernel) > 1e-10)[0]]
-        if vec[first] < 0:
-            vec = -vec
-        cols = [vec]
-        current = vec
-        for step in range(n3):
-            coefficient = math.sqrt(_qint(n3 - step, q) * _qint(step + 1, q))
-            current = (lower_full @ current) / coefficient
-            cols.append(current)
-        weight_matrix = np.column_stack(cols[::-1])  # target weight index 0..n3 ascending
-        perm3 = _rho_descending_order(n3, q)
-        grid = weight_matrix.reshape(n1 + 1, n2 + 1, n3 + 1)
-        coeffs = grid[np.ix_(perm1, perm2, perm3)].astype(complex)
-        out.append((str(n3), 1, coeffs))
+    top_level = n1 + n2
+    digits = 20 + math.ceil(top_level * max(1, abs(math.log10(q)) * top_level) / 4)
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        q_dec = Decimal(q)
+        s = q_dec.sqrt()
+        zero = 2 * top_level  # s^e is s_pow[zero + e], for e = -2 top_level ... top_level
+        s_pow = [s**-zero]
+        for _ in range(3 * top_level):
+            s_pow.append(s_pow[-1] * s)
+        # [n] as the positive sum of q^(n-1-2k), built as [n+1] = q [n] + q^-n: the quotient
+        # (q^n - q^-n) / (q - q^-1) cancels near q = 1
+        qint = [Decimal(0), Decimal(1)]
+        for n in range(1, top_level):
+            qint.append(q_dec * qint[n] + s_pow[zero - 2 * n])
+        root = [x.sqrt() for x in qint]
+
+        def norm(n: int) -> list[Decimal]:  # |v_j| = sqrt([j]! [n]! / [n-j]!), j = 0..n
+            factors = (root[j] * root[n + 1 - j] for j in range(1, n + 1))
+            return list(accumulate(factors, operator.mul, initial=Decimal(1)))
+
+        # the product basis by sector j1 + j2 = total, then by j1: the order of every list below
+        j1, j2 = np.divmod(np.arange((n1 + 1) * (n2 + 1)), n2 + 1)
+        j1, j2 = np.divmod(np.argsort((j1 + j2) * (n1 + 1) + j1), n2 + 1)
+        sector_start = np.searchsorted(j1 + j2, np.arange(top_level + 2))
+        norm_1, norm_2 = norm(n1), norm(n2)
+        # K^-1 on v_j, s^(2j-n); on v_(n-j) it is K
+        k_left_inv, k_right_rev = (s_pow[zero - n : zero + n + 1 : 2] for n in (n1, n2))
+        products = [  # |v_j1| |v_j2| per sector
+            [norm_1[a] * norm_2[total - a] for a in range(max(0, total - n2), min(n1, total) + 1)]
+            for total in range(top_level + 1)
+        ]
+        if q < 1.0:  # rho eigenvalue q^(n-2j) descends along j, else along the weight n - j
+            j1, j2 = n1 - j1, n2 - j2
+        out: list[tuple[str, int, np.ndarray]] = []
+        for n3 in range(abs(n1 - n2), top_level + 1, 2):
+            top = (top_level - n3) // 2  # j1 + j2 on the highest-weight sector, <= min(n1, n2)
+            # Delta(E) h has no v_a x v_(top-1-a) term; the K factors of both terms give s^-(n3+2)
+            x = [Decimal(1)]
+            for a in range(top):
+                x.append(
+                    -x[a] * qint[top - a] * qint[n2 - top + a + 1] * s_pow[zero - n3 - 2]
+                    / (qint[a + 1] * qint[n1 - a])
+                )
+            squares = [(c * p) ** 2 for c, p in zip(x, products[top])]
+            h2 = sum(squares)
+            first = next(a for a in range(top, -1, -1) if squares[a] > h2.scaleb(-20))
+            h = h2.sqrt() if x[first] > 0 else -h2.sqrt()
+            values: list[float] = []
+            w, lo = x, 0  # the sector j1 + j2 = top + j3, over j1 = lo, lo + 1, ...
+            for j3, norm_3 in enumerate(norm(n3)):
+                total, scale = top + j3, 1 / (h * norm_3)
+                values += [float(c * p * scale) for c, p in zip(w, products[total])]
+                if j3 < n3:  # lower by Delta(F) = F x K + K^-1 x F
+                    new_lo = max(0, total + 1 - n2)
+                    shift, lo = new_lo - lo, new_lo
+                    w = [  # from the old sector at j1 - 1 and j1; zip ends with the new sector
+                        a * k_right + b * k_left
+                        for a, b, k_right, k_left in zip(
+                            [0, *w][shift:], [*w, 0][shift:],
+                            k_right_rev[lo + n2 - total - 1 :], k_left_inv[lo:],
+                        )
+                    ]
+            live = slice(sector_start[top], sector_start[top_level - top + 1])
+            j3 = np.arange(n3 + 1).repeat(np.diff(sector_start[top : top_level - top + 2]))
+            coeffs = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=complex)
+            coeffs[j1[live], j2[live], n3 - j3 if q < 1.0 else j3] = values
+            out.append((str(n3), 1, coeffs))
     return out
 
 

@@ -326,8 +326,11 @@ def theorem_5_3_reference(m, alpha: str, beta: str, s: float, t: float, tol) -> 
     both right-hand sides are dense matrices, and every norm (the right-hand
     ones included) is an SVD 2-norm.  The summation set, the CG tensors and
     the completeness certificate are the library's own, and each left-hand
-    side is accumulated with the same weights in the same order, so every
-    value can be compared with ==.
+    side is accumulated with the same weights in the same order: per tensor,
+    one (1, rows) @ (rows, entries) product of the 0/1 weights with
+    conj(V[:, a]) V[:, a'], here over every (a, a') entry.  A V^* (w V)
+    product sums the rows in another order and can differ in the last bit,
+    so only this form lets every value be compared with ==.
     """
     from cqg.intertwiners import _certify_complete, cg_set
     from cqg.spectral import spectral_projection
@@ -357,11 +360,12 @@ def theorem_5_3_reference(m, alpha: str, beta: str, s: float, t: float, tol) -> 
             if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
                 continue
             factors = (proj(gamma, s), p_beta) if first_is_gamma else (p_beta, proj(gamma, s))
-            weight = np.diag(np.kron(*factors))
+            weight = np.diag(np.kron(*factors))[None, :]
             for tensor in cg_set(m, *pair):
                 if tensor.alpha == alpha:
                     v = tensor.matrix
-                    lhs += float(m.rho(gamma).trace()) * (v.conj().T @ (weight[:, None] * v))
+                    products = (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+                    lhs += float(m.rho(gamma).trace()) * (weight @ products).reshape(lhs.shape)
         lhs_norm = float(np.linalg.norm(lhs, 2))
         rhs_norm = float(np.linalg.norm(rhs, 2))
         if on_grid:

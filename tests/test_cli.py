@@ -27,6 +27,8 @@ from cqg.intertwiners import verify_modular
 from cqg.rep_data import Tolerance, model_to_document
 from cqg.spectral import _theorem_5_3_sweep, spectral_grid, verify_theorem_5_3
 
+from .conftest import perturbed_suq2_document
+
 REPORT_KEYS = ["command", "model", "parameters", "results", "violations", "truncations"]
 
 
@@ -220,19 +222,20 @@ class TestExitCodeOne:
     @pytest.mark.parametrize(
         "command",
         [
-            ("cg", "--beta", "11", "--gamma", "4"),
-            ("verify", "theorem-5.3", "--alpha", "7", "--beta", "4"),
-            ("verify", "haar-modular", "--alpha", "15"),
+            ("cg", "--beta", "0", "--gamma", "0"),
+            ("verify", "theorem-5.3", "--alpha", "0", "--beta", "0"),
+            ("verify", "haar-modular", "--alpha", "0"),
         ],
     )
-    def test_tol_reaches_the_cg_gate(self, capsys, command):
-        # the CG stack of (11, 4) at q 0.5 holds unitarity to 3.840e-09: inside 1e-8, not 1e-9
-        model = ("--model", "su_q_2", "--q", "0.5", "--max-level", "15")
-        code, _, err = run_cli(capsys, *command, *model, "--tol", "1e-8")
+    def test_tol_reaches_the_cg_gate(self, capsys, tmp_path, command):
+        # the CG stack of ('0', '0') holds unitarity to 2.5e-9 * 2: inside 1e-8, not 1e-9
+        target = tmp_path / "model.json"
+        target.write_text(json.dumps(perturbed_suq2_document(2.5e-9)), encoding="utf-8")
+        code, _, err = run_cli(capsys, *command, "--model", str(target), "--tol", "1e-8")
         assert (code, err) == (0, "")
-        code, out, err = run_cli(capsys, *command, *model)
+        code, out, err = run_cli(capsys, *command, "--model", str(target))
         assert (code, out) == (1, "")
-        assert "CG data for ('11', '4') fails unitarity" in err
+        assert "CG data for ('0', '0') fails unitarity: max residual 5.000e-09" in err
 
 
 class TestExitCodeTwo:

@@ -49,7 +49,7 @@ from cqg.rep_data import (
 from cqg.spectral import spectral_grid, verify_theorem_5_3
 
 from . import oracles
-from .conftest import TIGHT
+from .conftest import TIGHT, perturbed_suq2_document
 
 
 class TestCgSet:
@@ -1041,12 +1041,14 @@ class TestSupplementRowsAgainstTheWalk:
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_kron_is_numpy_kron_bit_for_bit(self, q):
-        for n1 in range(7):
-            k1, e1, f1, _ = intertwiners._weight_module(n1, q)
-            for n2 in range(7):
-                k2, e2, f2, _ = intertwiners._weight_module(n2, q)
-                for a, b in ((e1, np.diag(k2)), (np.diag(1.0 / k1), e2),
-                             (f1, np.diag(k2)), (np.diag(1.0 / k1), f2)):
+        rng = np.random.default_rng(int(10 * q))
+        for n1 in range(1, 8):
+            k1 = np.diag(q ** (np.arange(n1) - (n1 - 1) / 2))
+            g1 = rng.standard_normal((n1, n1)) + 1j * rng.standard_normal((n1, n1))
+            for n2 in range(1, 8):
+                k2 = np.diag(q ** (np.arange(n2) - (n2 - 1) / 2))
+                g2 = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
+                for a, b in ((k1, k2), (g1.real, k2), (k1, g2), (g1, g2.conj())):
                     got, want = intertwiners._kron(a, b), np.kron(a, b)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
@@ -1058,10 +1060,7 @@ class TestVerifiedStore:
     @staticmethod
     def _perturbed(delta):
         """A reloaded su_q_2 fragment whose first CG entry has one coefficient moved by delta."""
-        m = resolve_builtin("su_q_2", q=0.5, max_level=3)
-        doc = model_to_document(m)
-        doc["cg"] = cg_supplement_document(m, m.fusion.pairs())
-        doc["cg"][0]["coeffs"][0][3] += delta
+        doc = perturbed_suq2_document(delta)
         return load_model(doc), (doc["cg"][0]["beta"], doc["cg"][0]["gamma"])
 
     @staticmethod
@@ -1172,46 +1171,26 @@ class TestCGSizeCap:
         assert err.startswith("error: CG pair ('39', '40') spans 40 x 41 = 1640")
 
 
-# The pairs up to level 12 whose build or 1e-9 gate fails today, per sqrt(q): the known q-CG
-# defect.  Committed so that a change in either direction shows.
-_GATE_FAILURES_L12 = {
-    "1/10": {
-        (4, 4), (4, 5), (4, 6), (4, 7), (4, 8), (5, 2), (5, 3), (5, 4), (5, 5), (5, 6), (5, 7),
-        (6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (6, 6), (7, 1), (7, 2), (7, 3), (7, 4), (7, 5),
-        (8, 1), (8, 2), (8, 3), (8, 4), (9, 1), (9, 2), (9, 3), (10, 1), (10, 2), (11, 1),
-    },
-    "1/2": {(8, 3), (8, 4), (9, 3), (10, 2)},
-    "7/10": set(),
-    "9/10": set(),
-    "2": {(2, 10), (3, 8), (3, 9), (4, 8)},
-}
-
-
 class TestExactSuQ2Reference:
-    """Every su_q_2 CG tensor that passes the gate, against exact rational |V|^2 and signs.
+    """Every su_q_2 CG tensor up to level 12 passes the gate and matches exact rational |V|^2 and signs.
 
     The model is built at float(q), which differs from the rational q by about
-    1e-17 relative; that moves |V|^2 far less than SQUARE_BOUND.  The worst
-    |V|^2 error measured over these pairs is 5.7e-15, and 1.5e-13 over every
-    gate-passing pair up to level 20 (at q 0.49).
+    1e-17 relative.  The worst |V|^2 error measured is 3.3e-16 over these
+    pairs, and 4.4e-16 over every pair up to level 20; both are at sqrt_q 9/10,
+    every other sqrt_q here stays at 1.1e-16.
     """
 
     LEVEL = 12
-    SQUARE_BOUND = 1e-12
+    SQUARE_BOUND = 5e-16
     SIGN_FLOOR = 1e-20  # |V| above 1e-10, the build's own zero threshold
 
-    @pytest.mark.parametrize("sqrt_q", list(_GATE_FAILURES_L12))
-    def test_gate_passing_pairs_match_the_exact_reference(self, sqrt_q):
+    @pytest.mark.parametrize("sqrt_q", ["1/10", "1/2", "7/10", "9/10", "1", "2"])
+    def test_every_pair_matches_the_exact_reference(self, sqrt_q):
         exact_sqrt_q = Fraction(sqrt_q)
         m = resolve_builtin("su_q_2", q=float(exact_sqrt_q**2), max_level=self.LEVEL)
-        failing = set()
         for n1 in range(self.LEVEL + 1):
             for n2 in range(self.LEVEL + 1 - n1):
-                try:
-                    tensors = cg_set(m, str(n1), str(n2))
-                except ModelConsistencyError:
-                    failing.add((n1, n2))
-                    continue
+                tensors = cg_set(m, str(n1), str(n2))
                 exact = oracles.suq2_exact_cg_squares(n1, n2, exact_sqrt_q)
                 assert [t.alpha for t in tensors] == list(exact)
                 for t in tensors:
@@ -1222,4 +1201,26 @@ class TestExactSuQ2Reference:
                     assert gap <= self.SQUARE_BOUND, (n1, n2, t.alpha, gap)
                     live = squares > self.SIGN_FLOOR
                     assert (np.sign(t.coeffs.real[live]) == signs[live]).all(), (n1, n2, t.alpha)
-        assert failing == _GATE_FAILURES_L12[sqrt_q]
+
+
+class TestSuQ2AcrossTheQRange:
+    """The su_q_2 CG data hold the 1e-9 gate, and both sweeps pass, from q 1e-6 to 1e6."""
+
+    @pytest.mark.parametrize(
+        "q", [1e-6, 1e-3, 0.02, 0.1, 0.5, 0.999999, 1.0, 1 + 1e-7, 2.0, 10.0, 1e3, 1e6]
+    )
+    def test_gate_and_sweeps_hold(self, capsys, q):
+        level = 20 if abs(math.log10(q)) <= 1 else 12
+        m = resolve_builtin("su_q_2", q=q, max_level=level)
+        for n1 in range(level + 1):
+            for n2 in range(level + 1 - n1):
+                assert cg_set(m, str(n1), str(n2))
+        for command, sweep_level in (("theorem-5.3", 10), ("haar-modular", 8)):
+            code = main(["verify", command, "--q", repr(q), "--max-level", str(sweep_level)])
+            assert (code, capsys.readouterr().err) == (0, ""), (command, q)
+
+    def test_large_pair_at_q_1_holds_the_gate(self):
+        # classical CG sums cancel too: with 20 digits, as |log10 q| alone would give at q = 1,
+        # (30, 30) fails unitarity at 2.6e-9
+        m = resolve_builtin("su_q_2", q=1.0, max_level=60)
+        assert verify_cg_unitarity(cg_set(m, "30", "30"))["max_residual"] <= 1e-15

@@ -29,7 +29,7 @@ from cqg.spectral import (
     verify_theorem_5_3,
 )
 
-from .conftest import TIGHT
+from .conftest import TIGHT, perturbed_suq2_document
 from .oracles import drop_grouped_greedy, theorem_5_3_reference
 
 positive = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
@@ -368,13 +368,13 @@ def test_sweep_fetches_each_plan_entry_once(monkeypatch):
 
 
 def test_each_cg_bound_gets_its_own_plan():
-    # the CG stack of (11, 4) at q 0.5 holds unitarity to 3.840e-09: inside 1e-8, not 1e-9
-    m = resolve_builtin("su_q_2", q=0.5, max_level=15)
-    points = spectral_grid(m, "7", "4", probes=2)
+    # the CG stack of ('0', '0') holds unitarity to 2.5e-9 * 2: inside 1e-8, not 1e-9
+    m = load_model(perturbed_suq2_document(2.5e-9))
+    points = spectral_grid(m, "0", "0", probes=2)
     loose = Tolerance(1e-8, 1e-8, 1e-8)
-    assert all(r["pass"] for r in _theorem_5_3_sweep(m, "7", "4", points, loose))
-    with pytest.raises(ModelConsistencyError, match=r"\('11', '4'\) fails unitarity"):
-        _theorem_5_3_sweep(m, "7", "4", points, DEFAULT_TOLERANCE)
+    assert all(r["pass"] for r in _theorem_5_3_sweep(m, "0", "0", points, loose))
+    with pytest.raises(ModelConsistencyError, match=r"\('0', '0'\) fails unitarity"):
+        _theorem_5_3_sweep(m, "0", "0", points, DEFAULT_TOLERANCE)
 
 
 @pytest.mark.parametrize(
