@@ -80,6 +80,7 @@ def n_G(m: QGModel) -> int:
 
 
 _SLAB = 20000  # tuples per evaluated slab of an exhaustive unit grid
+_SLAB_BYTES = 4 << 20  # the two widest subset layers of one slab of random trials
 _MAX_PRODUCTS = 10**7
 
 
@@ -200,7 +201,7 @@ def bounded_degree_identity_check(
         entries = widest * trials * max(n * n for n in dims.values())
         if entries > 10**8:
             raise PreconditionError(
-                f"random check needs {entries} table entries at once, above the 10^8 bound"
+                f"random check needs {entries} table entries over all trials, above the 10^8 bound"
             )
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'random'")
@@ -221,12 +222,18 @@ def bounded_degree_identity_check(
         }
         first_bad: int | None = None
         for label in m.labels:
-            mats = np.ascontiguousarray(np.moveaxis(draws[label], 1, 0), dtype=np.int64)
-            values = _standard_polynomial_blocks(list(mats))
-            nonzero = np.flatnonzero(values.reshape(trials, -1).any(axis=1))
-            if nonzero.size:
-                trial = int(nonzero[0])
-                first_bad = trial if first_bad is None else min(first_bad, trial)
+            n = dims[label]
+            slab = max(1, _SLAB_BYTES // (8 * widest * n * n))
+            # trials from first_bad on cannot lower it
+            for start in range(0, trials if first_bad is None else first_bad, slab):
+                part = draws[label][start : start + slab]
+                mats = np.ascontiguousarray(np.moveaxis(part, 1, 0), dtype=np.int64)
+                values = _standard_polynomial_blocks(list(mats))
+                nonzero = np.flatnonzero(values.reshape(len(part), -1).any(axis=1))
+                if nonzero.size:
+                    trial = start + int(nonzero[0])
+                    first_bad = trial if first_bad is None else min(first_bad, trial)
+                    break
         witness = None
         if first_bad is not None:
             elements = [

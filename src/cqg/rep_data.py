@@ -429,16 +429,22 @@ def _flat(m: QGModel) -> tuple:
 def _lookup(keys: np.ndarray, values: np.ndarray) -> Callable:
     """get(queries, valid): the value stored under each valid query key, 0 where absent."""
     order = np.argsort(keys, kind="stable")
-    keys = np.append(keys[order], np.iinfo(np.int64).max)  # keeps every position in range
-    values = np.append(values[order], 0)
+    # a last key above every query keeps every position in range
+    sorted_keys = np.full(len(keys) + 1, np.iinfo(np.int64).max)
+    sorted_values = np.zeros(len(values) + 1, values.dtype)
+    np.take(keys, order, out=sorted_keys[:-1], mode="clip")  # "clip" writes out unbuffered
+    np.take(values, order, out=sorted_values[:-1], mode="clip")
 
     def get(queries: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(keys, queries)
-        found = values[pos]
-        found *= valid & (keys[pos] == queries)
+        pos = np.searchsorted(sorted_keys, queries)
+        found = sorted_values[pos]
+        found *= valid & (sorted_keys[pos] == queries)
         return found
 
     return get
+
+
+_CHUNK = 1 << 16  # fusion entries per chunk of the reciprocity joins
 
 
 def _frobenius_mismatches(m: QGModel, flat: tuple = ()) -> list[tuple]:
@@ -450,46 +456,54 @@ def _frobenius_mismatches(m: QGModel, flat: tuple = ()) -> list[tuple]:
     those pairs are ingested, by sorted-key joins on (left * K + right) * K +
     label over the nonzero entries: m1 > 0 is an entry of beta x gamma; m1 = 0
     is found from the nonzero reciprocal through the preimage of conjugation
-    (which need not be an involution on an invalid model).  Returns (alpha,
-    beta, gamma, m1, reciprocal multiplicity, message) per mismatch, by
-    ingested pair, then label declaration order, then the reading.
+    (which need not be an involution on an invalid model).  Both passes walk
+    the entries in chunks of ``_CHUNK`` against the two global lookups.
+    Returns (alpha, beta, gamma, m1, reciprocal multiplicity, message) per
+    mismatch, by ingested pair, then label declaration order, then the reading.
     """
     names, conj, left, right, comp, mult, pair, checked = flat or _flat(m)
     n, k = len(m.labels), len(names)
-    lefts, rights = left[pair], right[pair]
+    if not len(comp):
+        return []
     pair_at = _lookup(left * k + right, np.arange(1, len(left) + 1))  # pair position + 1
-    mult_at = _lookup((lefts * k + rights) * k + comp, mult)
+    mult_at = _lookup((left[pair] * k + right[pair]) * k + comp, mult)
+    # pres[j] maps t to the j-th label with conjugate t, or -1
+    by_conj = np.argsort(conj, kind="stable")
+    bounds = np.searchsorted(conj[by_conj], np.arange(k + 1))
+    pres = [
+        np.where(np.diff(bounds) > j, by_conj[np.minimum(bounds[:-1] + j, k - 1)], -1)
+        for j in range(np.diff(bounds).max(initial=0))
+    ]
     found = []
 
     def note(reading, at, alpha, beta, gamma, m1, m2) -> None:
         found.append((at, alpha, np.full(len(at), reading), beta, gamma, m1, m2))
 
-    # m1 > 0: each entry of a checked row against both of its reciprocal readings;
-    # a reading of 0 is a mismatch only where its pair is ingested
-    for reading, (label, a, b) in enumerate(((lefts, comp, rights), (rights, lefts, comp))):
-        a, b = (a, conj[b]) if reading == 0 else (conj[a], b)
-        valid = checked[pair] & (a >= 0) & (b >= 0)
-        m2 = mult_at((a * k + b) * k + label, valid)
-        i = np.flatnonzero(valid & (m2 != mult))
-        i = i[pair_at(a[i] * k + b[i], True) > 0]
-        note(reading, pair[i], comp[i], lefts[i], rights[i], mult[i], m2[i])
-    del a, b, m2  # entry-length arrays the next pass has no use for
-    # m1 = 0: each entry m2 of a row (left, right) is the reciprocal of the triples
-    # (left, label, gamma) with conj(gamma) = right and (right, beta, label) with
-    # conj(beta) = left; pre is the j-th label with conjugate t, or -1
-    by_conj = np.argsort(conj, kind="stable")
-    bounds = np.searchsorted(conj[by_conj], np.arange(k + 1))
-    for j in range(np.diff(bounds).max(initial=0)):
-        pre = np.where(np.diff(bounds) > j, by_conj[np.minimum(bounds[:-1] + j, k - 1)], -1)
-        for reading, (alpha, target) in enumerate(((lefts, rights), (rights, lefts))):
-            other = pre[target]
-            beta, gamma = (comp, other) if reading == 0 else (other, comp)
-            # alpha is a model label absent from the row of beta x gamma, a checked pair
-            valid = (alpha < n) & (other >= 0)
-            i = np.flatnonzero(valid & (mult_at((beta * k + gamma) * k + alpha, valid) == 0))
-            at = pair_at(beta[i] * k + gamma[i], True) - 1
-            i, at = i[(at >= 0) & checked[at]], at[(at >= 0) & checked[at]]
-            note(reading, at, alpha[i], beta[i], gamma[i], np.zeros_like(i), mult[i])
+    for lo in range(0, len(comp), _CHUNK):
+        rows, comps, mults = pair[lo : lo + _CHUNK], comp[lo : lo + _CHUNK], mult[lo : lo + _CHUNK]
+        lefts, rights = left[rows], right[rows]
+        # m1 > 0: each entry of a checked row against both of its reciprocal readings;
+        # a reading of 0 is a mismatch only where its pair is ingested
+        for reading, (label, a, b) in enumerate(((lefts, comps, rights), (rights, lefts, comps))):
+            a, b = (a, conj[b]) if reading == 0 else (conj[a], b)
+            valid = checked[rows] & (a >= 0) & (b >= 0)
+            m2 = mult_at((a * k + b) * k + label, valid)
+            i = np.flatnonzero(valid & (m2 != mults))
+            i = i[pair_at(a[i] * k + b[i], True) > 0]
+            note(reading, rows[i], comps[i], lefts[i], rights[i], mults[i], m2[i])
+        # m1 = 0: each entry m2 of a row (left, right) is the reciprocal of the triples
+        # (left, label, gamma) with conj(gamma) = right and (right, beta, label) with
+        # conj(beta) = left
+        for pre in pres:
+            for reading, (alpha, target) in enumerate(((lefts, rights), (rights, lefts))):
+                other = pre[target]
+                beta, gamma = (comps, other) if reading == 0 else (other, comps)
+                # alpha is a model label absent from the row of beta x gamma, a checked pair
+                valid = (alpha < n) & (other >= 0)
+                i = np.flatnonzero(valid & (mult_at((beta * k + gamma) * k + alpha, valid) == 0))
+                at = pair_at(beta[i] * k + gamma[i], True) - 1
+                i, at = i[(at >= 0) & checked[at]], at[(at >= 0) & checked[at]]
+                note(reading, at, alpha[i], beta[i], gamma[i], np.zeros_like(i), mults[i])
     columns = [np.concatenate(column) for column in zip(*found)]
     order = np.lexsort(columns[2::-1])  # by pair position, then alpha, then reading
     out = []

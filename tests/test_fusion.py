@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -19,6 +20,7 @@ from cqg.fusion import (
     p_n,
     tensor_power_decompose,
 )
+from cqg import rep_data
 from cqg.models import resolve_builtin
 from cqg.rep_data import FusionTable, _frobenius_mismatches, validate_model
 
@@ -202,31 +204,64 @@ def _perturbed(m, rng: random.Random):
     return dataclasses.replace(m, irreps=tuple(irreps), fusion=FusionTable(rows))
 
 
-def test_frobenius_walk_equals_the_dense_reference():
+def _perturbed_models():
     bases = [resolve_builtin("su_q_2", q=0.5, max_level=n) for n in range(3, 9)]
     bases += [resolve_builtin(name) for name in ("s3", "cyclic4", "cyclic5")]
     rng = random.Random(20171)
-    seen = set()
     for base in bases:
         for _ in range(40):
-            m = _perturbed(base, rng)
-            expected = oracles.frobenius_mismatches_reference(m)
-            assert list(_frobenius_mismatches(m)) == expected
-            triples = [mismatch[:3] for mismatch in expected]
-            messages = [mismatch[5] for mismatch in expected]
-            violations = frobenius_check(m)
-            assert [(v["alpha"], v["beta"], v["gamma"]) for v in violations] == triples
-            assert [v["message"] for v in violations] == messages
-            issues = [i for i in validate_model(m).issues if i.invariant == "frobenius"]
-            assert [i.labels for i in issues] == triples
-            assert [i.message for i in issues] == messages
-            involutive = all(
-                m.conjugate(label) in m and m.conjugate(m.conjugate(label)) == label
-                for label in m.labels
-            )
-            seen.update((m1 == 0, involutive) for _, _, _, m1, _, _ in expected)
+            yield _perturbed(base, rng)
+
+
+def test_frobenius_walk_equals_the_dense_reference():
+    seen = set()
+    for m in _perturbed_models():
+        expected = oracles.frobenius_mismatches_reference(m)
+        assert list(_frobenius_mismatches(m)) == expected
+        triples = [mismatch[:3] for mismatch in expected]
+        messages = [mismatch[5] for mismatch in expected]
+        violations = frobenius_check(m)
+        assert [(v["alpha"], v["beta"], v["gamma"]) for v in violations] == triples
+        assert [v["message"] for v in violations] == messages
+        issues = [i for i in validate_model(m).issues if i.invariant == "frobenius"]
+        assert [i.labels for i in issues] == triples
+        assert [i.message for i in issues] == messages
+        involutive = all(
+            m.conjugate(label) in m and m.conjugate(m.conjugate(label)) == label
+            for label in m.labels
+        )
+        seen.update((m1 == 0, involutive) for _, _, _, m1, _, _ in expected)
     # both kinds of mismatch occur, on involutive and on non-involutive conjugations
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_frobenius_chunks_equal_the_dense_reference(monkeypatch, chunk):
+    monkeypatch.setattr(rep_data, "_CHUNK", chunk)
+    for m in _perturbed_models():
+        assert list(_frobenius_mismatches(m)) == oracles.frobenius_mismatches_reference(m)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
+def test_frobenius_walk_on_a_table_without_entries(monkeypatch, chunk):
+    monkeypatch.setattr(rep_data, "_CHUNK", chunk)
+    base = resolve_builtin("s3")
+    for rows in ({}, {(label, label): {} for label in base.labels}):
+        m = dataclasses.replace(base, fusion=FusionTable(rows))
+        assert list(_frobenius_mismatches(m)) == oracles.frobenius_mismatches_reference(m) == []
+
+
+def test_frobenius_walk_traced_memory_at_level_120():
+    # unchunked joins peak at 12.7 MB here; the table is built before tracing starts
+    m = resolve_builtin("su_q_2", q=0.5, max_level=120)
+    flat = rep_data._flat(m)
+    tracemalloc.start()
+    try:
+        assert _frobenius_mismatches(m, flat) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 10**6
 
 
 def test_frobenius_walk_is_clean_on_a_deep_fragment():

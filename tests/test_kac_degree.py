@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,94 @@ class TestBoundedDegree:
             bounded_degree_identity_check(s3_dual, 1)
         with pytest.raises(PreconditionError):
             bounded_degree_identity_check(s3_dual, 3, strategy="typo")
+
+
+class TestRandomSlabs:
+    """The random strategy evaluates its trials in slabs; the cuts change no result."""
+
+    @staticmethod
+    def _run(monkeypatch, m, r, trials, seed, slab):
+        """The check with the largest block cut into slabs of ``slab`` trials (None: one slab),
+        and the kernel's values per block size, in the order the slabs were evaluated."""
+        half = (r + 1) // 2
+        widest = math.comb(r, half) + math.comb(r, half - 1)
+        n = n_G(m)
+        monkeypatch.setattr(kac_degree, "_SLAB_BYTES", (slab or trials) * 8 * widest * n * n)
+        values = {}
+
+        def spy(mats):
+            out = _standard_polynomial_blocks(mats)
+            values.setdefault(out.shape[-1], []).append(out)
+            return out
+
+        monkeypatch.setattr(kac_degree, "_standard_polynomial_blocks", spy)
+        result = bounded_degree_identity_check(m, r, strategy="random", trials=trials, seed=seed)
+        return result, values
+
+    @staticmethod
+    def _zero_before(monkeypatch, late: dict[int, int]):
+        """Draw as numpy does, then zero the tuples of n x n blocks before trial late[n]."""
+        generator = np.random.Generator
+
+        class Late:
+            def __init__(self, bits):
+                self.rng = generator(bits)
+
+            def integers(self, low, high, size):
+                out = self.rng.integers(low, high, size=size)
+                out[: late.get(size[-1], 0)] = 0
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", Late)
+
+    @pytest.mark.parametrize("slab", [1, 3, 7])
+    @pytest.mark.parametrize(
+        ("level", "r", "trials", "seed", "late", "first_bad"),
+        [
+            (2, 6, 20, 0, {}, None),  # s_6 vanishes on M_1, M_2 and M_3
+            (3, 5, 20, 3, {}, 0),  # s_5 does not vanish on M_3 or M_4
+            (3, 5, 30, 5, {3: 13, 4: 9}, 9),  # the 3 x 3 block violates first at 13, 4 x 4 at 9
+        ],
+    )
+    def test_slabs_equal_one_slab(self, monkeypatch, level, r, trials, seed, late, first_bad, slab):
+        m = resolve_builtin("su_q_2", q=0.5, max_level=level)
+        self._zero_before(monkeypatch, late)
+        whole, whole_values = self._run(monkeypatch, m, r, trials, seed, None)
+        cut, cut_values = self._run(monkeypatch, m, r, trials, seed, slab)
+        assert cut == whole
+        witness = whole["witness"]
+        assert (None if witness is None else witness["trial"]) == first_bad
+        assert whole["verdict"] == ("holds_on_samples" if first_bad is None else "violated")
+        first = trials if first_bad is None else first_bad
+        for n, (expected,) in whole_values.items():  # one slab per block
+            slabs = cut_values.get(n, [])
+            got = np.concatenate(slabs) if slabs else expected[:0]
+            # every trial before the first violation is evaluated, and each value is unchanged
+            assert len(got) >= first
+            assert np.array_equal(got, expected[: len(got)])
+            assert not any(values.any() for values in slabs[:-1])  # a block stops at a violation
+        largest = cut_values.get(n_G(m), [])
+        assert all(len(values) == slab for values in largest[:-1])
+        if late:
+            assert len(largest) > 1  # its first violation lies past its first slab
+
+    def test_traced_memory_grows_by_the_draws_only(self):
+        # holding the two widest layers of every trial at once would add about 56 MB here
+        m = resolve_builtin("su_q_2", q=0.5, max_level=3)
+        r, trials = 8, (500, 4000)
+        bounded_degree_identity_check(m, r, strategy="random", trials=1)  # first-call allocations
+        peaks = []
+        for count in trials:
+            tracemalloc.start()
+            try:
+                result = bounded_degree_identity_check(m, r, strategy="random", trials=count)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result["verdict"] == "holds_on_samples"
+        # the draws are int64, trials x r x (sum of n^2); 64 KiB covers the generator's buffers
+        draws = (trials[1] - trials[0]) * r * sum(m.dim(label) ** 2 for label in m.labels) * 8
+        assert peaks[1] - peaks[0] <= draws + (1 << 16)
 
 
 class TestProp62:

@@ -227,14 +227,31 @@ def test_built_in_and_loaded_models_fail_with_one_message(planted, issues):
 class TestInverseQ:
     """su_q_2 at q and at 1/q is one compact quantum group: same data, same verdict counts."""
 
-    CASES = [(0.5, 8), (0.8, 6), (0.2, 8)]
+    CASES = [(0.5, 8), (0.8, 6), (0.2, 8), (0.1, 10)]
     # (exit code, results, truncations, violations) per level
     COUNTS = {
         ("theorem-5.3", 8): (0, 2187, 1962, 0),
         ("haar-modular", 8): (0, 171, 112, 0),
         ("theorem-5.3", 6): (0, 882, 770, 0),
         ("haar-modular", 6): (0, 105, 66, 0),
+        ("theorem-5.3", 10): (0, 4598, 4190, 0),
+        ("haar-modular", 10): (0, 253, 170, 0),
     }
+
+    @staticmethod
+    def _worst_residual(report: dict) -> float:
+        """The largest residual the sweep held to its bound: untruncated theorem-5.3 points,
+        complete haar-modular blocks and coassociativity rows."""
+        residuals = [0.0]
+        for row in report["results"]:
+            if "residual_eq1" in row:
+                if not row["truncated"]:
+                    residuals += [row["residual_eq1"], row["residual_eq2"]]
+            elif row["side"] == "coassociativity":
+                residuals.append(row["max_residual"])
+            elif row["complete"]:
+                residuals.append(row["residual"])
+        return max(residuals)
 
     @pytest.mark.parametrize("q, level", CASES)
     def test_same_model_data(self, q, level):
@@ -254,11 +271,14 @@ class TestInverseQ:
     @pytest.mark.parametrize("what", ["theorem-5.3", "haar-modular"])
     @pytest.mark.parametrize("q, level", CASES)
     def test_same_verdict_counts(self, capsys, q, level, what):
-        counts = []
+        counts, worst = [], []
         for value in (q, 1 / q):
             argv = ["verify", what, "--q", repr(value), "--max-level", str(level)]
             code = main([*argv, "--format", "json"])
             report = json.loads(capsys.readouterr().out)
             sections = ("results", "truncations", "violations")
             counts.append((code, *(len(report[k]) for k in sections)))
+            worst.append(self._worst_residual(report))
         assert counts[0] == counts[1] == self.COUNTS[what, level]
+        # both are rounding-level (1.8e-16 to 5.6e-16 over these cases) and agree within 10x
+        assert 0 < min(worst) and abs(math.log10(worst[0] / worst[1])) < 1
