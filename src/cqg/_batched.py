@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -119,13 +118,6 @@ def _chunks(sizes: Sequence[int], limit: int):
         yield lo, len(sizes)
 
 
-def _spectra(m: QGModel) -> tuple:
-    """Each label's first place in one array of every rho eigenvalue; the array, rho**-2, d_1."""
-    first = dict(zip(m.labels, np.cumsum([0] + [m.dim(label) for label in m.labels]).tolist()))
-    rho = np.array(list(chain.from_iterable(m.rho(label) for label in m.labels)))
-    return first, rho, rho**-2.0, {label: float(m.rho(label).trace()) for label in m.labels}
-
-
 def _modular_residuals(m: QGModel, lam_alpha, d_alpha: float, blocks, terms) -> list[float]:
     """max |block - expected| / scale of each (fixed axis k, label) block of the two legs.
 
@@ -140,28 +132,25 @@ def _modular_residuals(m: QGModel, lam_alpha, d_alpha: float, blocks, terms) -> 
     if not blocks:
         return []
     store = m._memo(("cg-nonzeros",), _Nonzeros)
-    first, rho, inverse_square, trace = m._memo(("spectra",), lambda: _spectra(m))
+    spectra = m._spectra()
     n_a = len(lam_alpha)
     fixed = np.array([k for k, _ in blocks], dtype=np.int64)
     n_f = np.array([m.dim(label) for _, label in blocks], dtype=np.int64)
     # rho_fixed**power on the diagonal of each block: power -2 when gamma is fixed, 0 when beta is
-    diagonal = np.concatenate([
-        inverse_square[first[label] : first[label] + n] if k == 1 else np.ones(n)
-        for (k, label), n in zip(blocks, n_f.tolist())
-    ])
+    diagonal = np.concatenate([spectra.rho[label] ** (-2.0 * k) for k, label in blocks])
     diagonal_first = np.cumsum(n_f) - n_f
     block_size = n_a * n_a * n_f * n_f
     ids = store.ids([t for t, _, _ in terms])
     block_of = np.array([b for _, b, _ in terms], dtype=np.int64)
-    first_lam = np.array([first[o] for _, _, o in terms], dtype=np.int64)
-    d_other = np.array([trace[o] for _, _, o in terms])
+    first_lam = np.array([spectra.first[o] for _, _, o in terms], dtype=np.int64)
+    d_other = np.array([spectra.d1[o] for _, _, o in terms])
     out = []
     for lo, hi in _chunks(block_size.tolist(), _BATCH_ENTRIES):
         tensors = slice(*np.searchsorted(block_of, [lo, hi]).tolist())
         t_block = block_of[tensors] - lo
         k = fixed[lo:hi][t_block]
         t, j, row_1, row_2 = store.join(ids[tensors], 1 - k, ids[tensors], 1 - k)
-        lam = rho[first_lam[tensors][t] + j]
+        lam = spectra.values[first_lam[tensors][t] + j]
         products = np.einsum("i,i,i->i", store.value[row_1], lam, store.value[row_2].conj())
         nf, k = n_f[lo:hi][t_block][t], k[t]
         place = ((store.bca[row_1, 2] * n_a + store.bca[row_2, 2]) * nf + store.bca[row_1, k]) * nf

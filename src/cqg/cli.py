@@ -31,6 +31,7 @@ from .intertwiners import (
     verify_modular,
 )
 from .kac_degree import (
+    _MAX_TUPLES,
     bounded_degree_identity_check,
     corollary_6_5_probe,
     is_kac,
@@ -422,7 +423,7 @@ def _cmd_bounded_degree(args, report, m: QGModel, tol: Tolerance) -> None:
     strategy = args.strategy
     if strategy == "auto":
         units = sum(m.dim(label) ** 2 for label in m.labels)
-        strategy = "exhaustive" if units**r <= 10**6 else "random"
+        strategy = "exhaustive" if units**r <= _MAX_TUPLES else "random"
     result = bounded_degree_identity_check(
         m, r, strategy=strategy, trials=args.trials, seed=args.seed
     )

@@ -300,17 +300,14 @@ def verify_cg_unitarity(tensors: Sequence[CGTensor], tol: Tolerance = DEFAULT_TO
 
 def cg_intertwining_residual(m: QGModel, t: CGTensor) -> float:
     """Largest weighted violation of lambda_b * lambda_c = lambda_a on the tensor's support."""
-    lam_b = np.asarray(tuple(m.rho(t.beta)))
-    lam_c = np.asarray(tuple(m.rho(t.gamma)))
-    lam_a = np.asarray(tuple(m.rho(t.alpha)))
-    products = lam_b[:, None, None] * lam_c[None, :, None]
-    targets = lam_a[None, None, :]
+    rho = m._spectra(t.beta, t.gamma, t.alpha).rho
+    products = rho[t.beta][:, None, None] * rho[t.gamma][None, :, None]
     mags = np.abs(t.coeffs)
     scale = float(mags.max()) or 1.0
     if not scale < math.inf:  # a nan or inf coefficient would weight every entry to 0
         return scale
     weights = np.where(mags > _ZERO_ENTRY * scale, mags, 0.0)
-    return float(np.max(weights * np.abs(products / targets - 1.0)))
+    return float(np.max(weights * np.abs(products / rho[t.alpha] - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +362,14 @@ def delta_hat(
 
 def haar_weight(m: QGModel, x: C00Element) -> complex:
     """sum over the support of d_1(label) * sum_a lambda_a * x[label][a, a]."""
-    total = 0.0 + 0.0j
+    total, spectra = 0.0 + 0.0j, m._spectra()
     for label in x.support:
         block = x.block(label)
         if block.shape[0] != m.dim(label):
             raise ModelConsistencyError(
                 f"block {label!r} has size {block.shape[0]}, model dim is {m.dim(label)}"
             )
-        lam = np.asarray(tuple(m.rho(label)))
-        d1 = float(m.rho(label).trace())
-        total += d1 * complex(np.sum(lam * np.diag(block)))
+        total += spectra.d1[label] * complex(np.sum(spectra.rho[label] * np.diag(block)))
     return total
 
 
@@ -416,8 +411,8 @@ def verify_modular(
     flag instead of being asserted.
     """
     pairs = _canonical_pairs(m, support)
-    lam_alpha = np.asarray(tuple(m.rho(alpha)))
-    d_alpha = float(m.rho(alpha).trace())
+    spectra = m._spectra(alpha)
+    lam_alpha, d_alpha = spectra.rho[alpha], spectra.d1[alpha]
 
     # the first leg's largest expected entry is d_alpha * max(rho_alpha) * max(rho**-2)
     smallest = min([1.0] + [min(m.rho(label)) for label in {pair[1] for pair in pairs}])
@@ -598,7 +593,8 @@ def _suq2_pair_tensors(n1: int, n2: int, q: float) -> list[tuple[str, int, np.nd
     relative normalization between components that the modular identities
     depend on.  It is carried in decimal, with digits for a cancellation that
     grows as n1 + n2 near q = 1, else as |log q| (n1 + n2)^2, and rounded to
-    float once; entries off the weight sector are never written (exact zeros).
+    float once; entries off the weight sector, and lowering sums that cancel to
+    within 10^(2 - digits) of their two terms (classical zeros at q = 1), are exact 0.
     Only the overall phase per component is free, fixed by making positive the
     first coefficient of the unit highest-weight vector (in lexicographic
     product-basis order) whose modulus is above 1e-10.  A smaller leading
@@ -623,6 +619,10 @@ def _suq2_pair_tensors(n1: int, n2: int, q: float) -> list[tuple[str, int, np.nd
         def norm(n: int) -> list[Decimal]:  # |v_j| = sqrt([j]! [n]! / [n-j]!), j = 0..n
             factors = (root[j] * root[n + 1 - j] for j in range(1, n + 1))
             return list(accumulate(factors, operator.mul, initial=Decimal(1)))
+
+        def add(x: Decimal, y: Decimal, cut: Decimal = Decimal(1).scaleb(2 - digits)) -> Decimal:
+            z = x + y  # a sum that cancels to within cut of its two terms is an exact 0
+            return z if abs(z) > cut * (abs(x) + abs(y)) else Decimal(0)
 
         # the product basis by sector j1 + j2 = total, then by j1: the order of every list below
         j1, j2 = np.divmod(np.arange((n1 + 1) * (n2 + 1)), n2 + 1)
@@ -660,7 +660,7 @@ def _suq2_pair_tensors(n1: int, n2: int, q: float) -> list[tuple[str, int, np.nd
                     new_lo = max(0, total + 1 - n2)
                     shift, lo = new_lo - lo, new_lo
                     w = [  # from the old sector at j1 - 1 and j1; zip ends with the new sector
-                        a * k_right + b * k_left
+                        add(a * k_right, b * k_left)
                         for a, b, k_right, k_left in zip(
                             [0, *w][shift:], [*w, 0][shift:],
                             k_right_rev[lo + n2 - total - 1 :], k_left_inv[lo:],

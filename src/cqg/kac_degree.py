@@ -82,6 +82,7 @@ def n_G(m: QGModel) -> int:
 _SLAB = 20000  # tuples per evaluated slab of an exhaustive unit grid
 _SLAB_BYTES = 4 << 20  # the two widest subset layers of one slab of random trials
 _MAX_PRODUCTS = 10**7
+_MAX_TUPLES = 10**6  # r-tuples of matrix units an exhaustive check may count
 
 
 def _kernel_products(r: int) -> int:
@@ -185,12 +186,9 @@ def bounded_degree_identity_check(
         raise PreconditionError("degree r must be >= 2")
     dims = {label: m.dim(label) for label in m.labels}
     if strategy == "exhaustive":
-        unit_count = sum(n * n for n in dims.values())
-        total = unit_count**r
-        if total > 10**6:
-            raise PreconditionError(
-                f"exhaustive check needs {total} tuples, above the 10^6 bound"
-            )
+        total = sum(n * n for n in dims.values()) ** r
+        if total > _MAX_TUPLES:
+            raise PreconditionError(f"exhaustive check needs {total} tuples, above the 10^6 bound")
     elif strategy == "random":
         if trials < 1 or seed < 0:
             raise PreconditionError(

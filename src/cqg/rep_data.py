@@ -277,6 +277,31 @@ class QGModel:
     def conjugate(self, label: str) -> str:
         return self.irrep(label).conjugate
 
+    def _spectra(self, *labels: str) -> "SpectrumTable":
+        """The spectrum table, built on first use; an unknown label given raises as irrep does."""
+        for label in labels:
+            self.irrep(label)
+        return self._memo(("spectra",), lambda: SpectrumTable(self))
+
+
+class SpectrumTable:
+    """Each label's rho eigenvalues, their math.log and d_1 = Tr rho, in declaration order.
+
+    ``rho[x]`` and ``log[x]`` are read-only views of label x's run, which
+    starts at ``first[x]`` in ``values``, the array of every eigenvalue.
+    """
+
+    def __init__(self, m: QGModel) -> None:
+        ends = np.cumsum([0] + [m.dim(x) for x in m.labels]).tolist()
+        values = [lam for x in m.labels for lam in m.rho(x)]
+        table = np.array([values, [math.log(lam) for lam in values]], dtype=float)
+        table.setflags(write=False)  # before the views are taken, so they are read-only too
+        self.values, logs = table
+        self.first = dict(zip(m.labels, ends))
+        self.rho = {x: self.values[lo:hi] for x, lo, hi in zip(m.labels, ends, ends[1:])}
+        self.log = {x: logs[lo:hi] for x, lo, hi in zip(m.labels, ends, ends[1:])}
+        self.d1 = {x: float(m.rho(x).trace()) for x in m.labels}
+
 
 @dataclass(frozen=True)
 class ValidationIssue:

@@ -106,11 +106,6 @@ def spectral_grid(
 _CHUNK = 64  # points per batched stack, so temporaries stay bounded on large grids
 
 
-def _log_rho(m: QGModel, label: str) -> np.ndarray:
-    """math.log of each rho eigenvalue of label, so a mask is one array comparison."""
-    return m._memo(("log-rho", label), lambda: np.array([math.log(lam) for lam in m.rho(label)]))
-
-
 def _theorem_5_3_plan(
     m: QGModel, alpha: str, beta: str, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple:
@@ -119,9 +114,9 @@ def _theorem_5_3_plan(
     One entry per equation, eq1 with gamma in the first slot, eq2 in the
     second: the completeness certificate, the live (a, a') entries of the
     left-hand side (the diagonal and every pair some CG row is nonzero at; all
-    others are an exact 0) as (rows, cols), and the terms (gamma, d_gamma,
-    [conj(V[:, rows]) * V[:, cols] ...]) over the gammas whose pair with beta
-    contains alpha: a point's left-hand side is its 0/1 row weights times those.
+    others are an exact 0) as (rows, cols), and the terms (gamma, [conj(V[:, rows])
+    * V[:, cols] ...]) over the gammas whose pair with beta contains alpha: a point's
+    left-hand side sums d_1(gamma) times its 0/1 row weights times those.
     A plan reads, and so gates, its CG records once, at the tolerance it is keyed by.
     """
 
@@ -132,11 +127,10 @@ def _theorem_5_3_plan(
             pair = (gamma, beta) if first_is_gamma else (beta, gamma)
             if pair not in m.fusion or m.fusion.components(*pair).get(alpha, 0) == 0:
                 continue
-            vs = [t.matrix for t in _cg_record(m, *pair, tol)["into"][alpha]]
-            found.append((gamma, float(m.rho(gamma).trace()), vs))
-        nonzero = np.vstack([np.eye(m.dim(alpha))] + [v != 0 for _, _, vs in found for v in vs])
+            found.append((gamma, [t.matrix for t in _cg_record(m, *pair, tol)["into"][alpha]]))
+        nonzero = np.vstack([np.eye(m.dim(alpha))] + [v != 0 for _, vs in found for v in vs])
         rows, cols = np.nonzero(nonzero.T @ nonzero)
-        terms = [(gamma, d, [v[:, rows].conj() * v[:, cols] for v in vs]) for gamma, d, vs in found]
+        terms = [(gamma, [v[:, rows].conj() * v[:, cols] for v in vs]) for gamma, vs in found]
         return complete, (rows, cols), terms
 
     key = ("theorem-5.3", alpha, beta, tol)
@@ -167,26 +161,22 @@ def _theorem_5_3_sweep(
     for s, t in points:
         if not (s > 0 and t > 0 and 0 < s * t < math.inf):
             raise PreconditionError("spectral parameters must be positive finite reals")
-    d_alpha = float(m.rho(alpha).trace())
-    n = m.dim(alpha)
-    log_beta = _log_rho(m, beta)
+    spectra, n = m._spectra(), m.dim(alpha)
     eq1, eq2 = _theorem_5_3_plan(m, alpha, beta, tol)
     bound = max(tol.abs, tol.rel)
 
-    def masks(logs: np.ndarray, values) -> np.ndarray:
-        # (points, dim) rows: which eigenvalues are grouped with each value
+    def masks(label: str, values) -> np.ndarray:
+        # (points, dim) rows: which eigenvalues of label are grouped with each value
         at = np.array([math.log(x) for x in values])
-        return np.abs(logs - at[:, None]) <= tol.eigen_group
+        return np.abs(spectra.log[label] - at[:, None]) <= tol.eigen_group
 
+    gammas = dict.fromkeys(g for _, _, terms in (eq1, eq2) for g, _ in terms)
     results: list[dict] = []
     for start in range(0, len(points), _CHUNK):
         chunk = points[start : start + _CHUNK]
-        mask_alpha = masks(_log_rho(m, alpha), [s * t for s, t in chunk])
-        mask_beta = masks(log_beta, [t for _, t in chunk])
-        mask_gamma = {
-            gamma: masks(_log_rho(m, gamma), [s for s, _ in chunk])
-            for gamma in dict.fromkeys(g for _, _, terms in (eq1, eq2) for g, _, _ in terms)
-        }
+        mask_alpha = masks(alpha, [s * t for s, t in chunk])
+        mask_beta = masks(beta, [t for _, t in chunk])
+        mask_gamma = {gamma: masks(gamma, [s for s, _ in chunk]) for gamma in gammas}
         dim_beta = mask_beta.sum(axis=1)
         dim_alpha = mask_alpha.sum(axis=1)
         on_grid = (dim_beta > 0) & (dim_alpha > 0)
@@ -194,23 +184,22 @@ def _theorem_5_3_sweep(
         # per equation, eq1 with gamma in the first slot: residuals, lhs and rhs norms per point
         residual, lhs_norm, rhs_norm = [], [], []
         for (_, (rows, cols), terms), first_is_gamma, c in (
-            (eq1, True, d_alpha / ts * dim_beta),
-            (eq2, False, d_alpha * ts * dim_beta),
+            (eq1, True, spectra.d1[alpha] / ts * dim_beta),
+            (eq2, False, spectra.d1[alpha] * ts * dim_beta),
         ):
             lhs = np.zeros((len(chunk), len(rows)), dtype=complex)  # the live entries only
-            for gamma, d_gamma, products in terms:
+            for gamma, products in terms:
                 left, right = (mask_gamma[gamma], mask_beta)[:: 1 if first_is_gamma else -1]
                 weight = (left[:, :, None] & right[:, None, :]).reshape(len(chunk), -1)
                 weight = weight.astype(float)
                 for p in products:
-                    lhs += d_gamma * (weight @ p)
+                    lhs += spectra.d1[gamma] * (weight @ p)
             norm = _norms(lhs, n, rows, cols)
             rhs = np.where(dim_alpha > 0, np.abs(c), 0.0)  # c P_alpha(st) has norm |c| or 0
             res = norm.copy()  # off the grid the right-hand side is zero
-            if on_grid.any():
-                p_alpha = mask_alpha[on_grid][:, rows] & (rows == cols)
-                diff = _norms(lhs[on_grid] - c[on_grid, None] * p_alpha, n, rows, cols)
-                res[on_grid] = diff / np.maximum(rhs[on_grid], 1.0)
+            p_alpha = mask_alpha[on_grid][:, rows] & (rows == cols)
+            diff = _norms(lhs[on_grid] - c[on_grid, None] * p_alpha, n, rows, cols)
+            res[on_grid] = diff / np.maximum(rhs[on_grid], 1.0)
             residual.append(res.tolist())
             lhs_norm.append(norm.tolist())
             rhs_norm.append(rhs.tolist())

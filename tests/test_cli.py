@@ -170,6 +170,13 @@ class TestExitCodeZero:
         assert report["violations"] == []
         assert all(row["pass"] for row in report["results"])
 
+    @pytest.mark.parametrize("r, strategy", [("6", "exhaustive"), ("7", "random")])
+    def test_auto_strategy_switches_at_the_tuple_bound(self, capsys, r, strategy):
+        # cyclic10 has ten 1x1 blocks, so r = 6 is exactly 10^6 tuples: the largest exhaustive count
+        code, report = run_json(capsys, "bounded-degree", "--model", "cyclic10", "--r", r)
+        assert code == 0
+        assert report["results"][0]["strategy"] == strategy
+
 
 class TestExitCodeOne:
     def test_bounded_degree_witness(self, capsys):

@@ -1177,7 +1177,9 @@ class TestExactSuQ2Reference:
     The model is built at float(q), which differs from the rational q by about
     1e-17 relative.  The worst |V|^2 error measured is 3.3e-16 over these
     pairs, and 4.4e-16 over every pair up to level 20; both are at sqrt_q 9/10,
-    every other sqrt_q here stays at 1.1e-16.
+    every other sqrt_q here stays at 1.1e-16.  Every exact zero is written as
+    0.0, at q = 1 too, where some sums of the build cancel to within its
+    decimal rounding.
     """
 
     LEVEL = 12
@@ -1195,6 +1197,8 @@ class TestExactSuQ2Reference:
                 assert [t.alpha for t in tensors] == list(exact)
                 for t in tensors:
                     squares, signs = exact[t.alpha]
+                    zero = (squares == 0).astype(bool)
+                    assert (t.coeffs[zero] == 0).all(), (n1, n2, t.alpha)  # written as 0.0
                     squares = squares.astype(float)
                     assert not t.coeffs.imag.any()
                     gap = np.abs(np.abs(t.coeffs) ** 2 - squares).max()

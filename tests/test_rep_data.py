@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqg.errors import ModelConsistencyError, ModelSchemaError, TruncationError
-from cqg.intertwiners import cg_set, cg_supplement_document
+from cqg.intertwiners import (
+    C00Element,
+    CGTensor,
+    cg_intertwining_residual,
+    cg_set,
+    cg_supplement_document,
+    haar_weight,
+    verify_modular,
+)
 from cqg.models import resolve_builtin
 from cqg.rep_data import (
     DEFAULT_TOLERANCE,
@@ -19,6 +27,7 @@ from cqg.rep_data import (
     Irrep,
     QGModel,
     RhoSpectrum,
+    SpectrumTable,
     Tolerance,
     load_model,
     load_model_with_report,
@@ -26,6 +35,7 @@ from cqg.rep_data import (
     normalize_rho,
     validate_model,
 )
+from cqg.spectral import verify_theorem_5_3
 
 from .conftest import TIGHT
 
@@ -184,6 +194,63 @@ def test_builtin_export_reloads(name, kwargs):
 @settings(max_examples=15)
 def test_suq2_export_reloads(q, max_level):
     _assert_round_trip(resolve_builtin("su_q_2", q=q, max_level=max_level))
+
+
+class TestSpectrumTable:
+    """Each model's one spectrum table holds the model's own numbers, read-only, built once."""
+
+    @pytest.fixture(scope="class")
+    def models(self, all_builtins):
+        exported = resolve_builtin("su_q_2", q=2.0, max_level=6)
+        doc = model_to_document(exported)
+        doc["cg"] = cg_supplement_document(exported, exported.fusion.pairs())
+        reloaded = load_model(json.loads(json.dumps(doc)))
+        at_one = resolve_builtin("su_q_2", q=1.0, max_level=6)
+        return [*all_builtins, exported, at_one, resolve_builtin("cyclic10"), reloaded]
+
+    def test_entries_are_the_models_own(self, models):
+        for m in models:
+            table = m._spectra()
+            assert list(table.first) == list(table.rho) == list(m.labels)
+            for label in m.labels:
+                want = np.asarray(tuple(m.rho(label)))
+                for got in (table.rho[label], table.values[table.first[label]:][: m.dim(label)]):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (m.name, label)
+                assert table.log[label].tolist() == [math.log(lam) for lam in m.rho(label)]
+                assert table.d1[label] == float(m.rho(label).trace())
+            assert len(table.values) == sum(m.dim(label) for label in m.labels)
+
+    def test_arrays_refuse_writes(self, models):
+        table = models[0]._spectra()
+        label = models[0].labels[-1]
+        for array in (table.values, table.rho[label], table.log[label]):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_unknown_label_is_a_schema_error(self, models):
+        m = models[0]
+        tensor = CGTensor("bogus", m.trivial, m.trivial, 1, np.ones((1, 1, 1)))
+        for call in (
+            lambda: verify_modular(m, "bogus", m.fusion.pairs()),
+            lambda: cg_intertwining_residual(m, tensor),
+        ):
+            with pytest.raises(ModelSchemaError, match="unknown irrep label 'bogus'"):
+                call()
+
+    def test_built_once_per_model(self, monkeypatch):
+        builds = []
+        init = SpectrumTable.__init__
+        monkeypatch.setattr(
+            SpectrumTable, "__init__", lambda self, m: builds.append(m) or init(self, m)
+        )
+        m = resolve_builtin("su_q_2", q=0.5, max_level=4)
+        for alpha in m.labels:
+            verify_modular(m, alpha, m.fusion.pairs())
+            verify_theorem_5_3(m, alpha, "1", 2.0, 0.5)
+            haar_weight(m, C00Element.matrix_unit(m, alpha, 0, 0))
+        assert m._spectra() is m._spectra()
+        assert builds == [m]
 
 
 @pytest.mark.parametrize("value", [True, None, {"a": 1.0}, ["x"], [1.0, False]])
